@@ -20,6 +20,7 @@
 //   OAK_MODEL_SEED     u64    model-checking test seed
 //   OAK_SNAPSHOT_OPS   u64    snapshot-fuzz op budget (full tier raises it)
 //   OAK_STORAGE_DIR    str    durability root: set → maps persist there
+//                             (map front end only; OakCoreMap ignores it)
 //   OAK_FSYNC_POLICY   str    WAL sync: never | interval | every-commit
 //   OAK_WAL_BYTES      u64    WAL bytes that auto-trigger a checkpoint
 //   OAK_BENCH_SIZE / _DURATION_MS / _SCAN_LEN / _REPEATS / _SHARDS   u64

@@ -14,13 +14,11 @@
 // through a typed ScanOptions (direction + stream) used uniformly by
 // entrySet/keySet/valueSet and the core iterators.
 //
-// The body is BasicOakMap<..., CoreT>: every method is written against the
-// core's byte-level surface (point ops, navigation, AscendIter/DescendIter),
-// so the same typed facade serves both cores:
-//
-//   * OakMap        — CoreT = OakCoreMap<Compare>        (one chunk list)
-//   * ShardedOakMap — CoreT = ShardedOakCoreMap<Compare> (range-partitioned
-//                     shards + k-way merged scans; oak/sharded_map.hpp)
+// There is one map.  BasicOakMap wraps ShardedOakCoreMap<Compare>
+// (oak/sharded_map.hpp): range-partitioned OakCoreMap shards with k-way
+// merged scans, and the only owner of durability.  OakMap and ShardedOakMap
+// name the same type; a plain OakConfig builds a 1-shard map, whose single
+// chunk list is the paper's map.
 #pragma once
 
 #include <functional>
@@ -33,23 +31,22 @@
 
 namespace oak {
 
-template <class K, class V, class KSer, class VSer, class Compare = BytesComparator,
-          class CoreT = OakCoreMap<Compare>>
+template <class K, class V, class KSer, class VSer, class Compare = BytesComparator>
   requires SerializerFor<KSer, K> && SerializerFor<VSer, V>
 class BasicOakMap {
-  using Core = CoreT;
+  using Core = ShardedOakCoreMap<Compare>;
 
  public:
-  explicit BasicOakMap(typename Core::Config cfg = {}, Compare cmp = Compare{})
+  /// Takes a ShardedOakConfig, or a plain OakConfig for a 1-shard map.
+  explicit BasicOakMap(ShardedOakConfig cfg = {}, Compare cmp = Compare{})
       : core_(std::move(cfg), cmp) {}
 
   /// Named constructor for durable maps (DESIGN.md §12): opens (or creates)
   /// the storage directory, recovers the last checkpoint plus the WAL tail,
   /// and returns a map ready for traffic.  Equivalent to constructing with
-  /// cfg.mem.storageDir = dir — this spelling just makes recovery explicit
+  /// cfg.withStorageDir(dir) — this spelling just makes recovery explicit
   /// at the call site.
-  static BasicOakMap open(const std::string& dir,
-                          typename Core::Config cfg = {},
+  static BasicOakMap open(const std::string& dir, ShardedOakConfig cfg = {},
                           Compare cmp = Compare{}) {
     cfg.withStorageDir(dir);
     return BasicOakMap(std::move(cfg), cmp);
@@ -468,8 +465,8 @@ class BasicOakMap {
   maint::MaintenanceStats maintenanceStats() const {
     return core_.maintenanceStats();
   }
-  /// Evacuates sparse arenas now (see OakCoreMap::compactNow); returns the
-  /// arenas retired to the pool.
+  /// Evacuates sparse arenas in every shard now (see OakCoreMap::compactNow);
+  /// returns the arenas retired to the pool.
   std::size_t compactNow() { return core_.compactNow(); }
 
   // ---------------------------------------------------------- durability
@@ -517,16 +514,16 @@ class BasicOakMap {
   Core core_;
 };
 
-/// The paper's map: one OakCoreMap chunk list behind the typed facade.
+/// The map.  Built from an OakConfig it has one shard — one chunk list, the
+/// paper's map; built from a ShardedOakConfig (withShards(N) or an explicit
+/// ShardLayout) it has N independent shards (own chunk list, arena region,
+/// EBR domain) whose full-map scans are k-way merged and stay sorted.
 template <class K, class V, class KSer, class VSer, class Compare = BytesComparator>
-using OakMap = BasicOakMap<K, V, KSer, VSer, Compare, OakCoreMap<Compare>>;
+using OakMap = BasicOakMap<K, V, KSer, VSer, Compare>;
 
-/// Range-partitioned front-end: N independent shards (own chunk list,
-/// arena region, EBR domain) behind the same typed facade; full-map scans
-/// are k-way merged and stay globally sorted.  Construct with a
-/// ShardedOakConfig ({.shards = N} or an explicit ShardLayout).
+/// Same type as OakMap; the name reads better at multi-shard call sites.
 template <class K, class V, class KSer, class VSer, class Compare = BytesComparator>
-using ShardedOakMap = BasicOakMap<K, V, KSer, VSer, Compare, ShardedOakCoreMap<Compare>>;
+using ShardedOakMap = OakMap<K, V, KSer, VSer, Compare>;
 
 /// Convenience alias matching the benchmarks: string keys, ByteVec values.
 using OakStringMap = OakMap<std::string, ByteVec, StringSerializer, BytesSerializer>;

@@ -50,8 +50,11 @@
 // the shared MaintenanceService, so splits and merges run on background
 // workers, deduplicated like any other maintenance job.
 //
-// The typed facade is oak::ShardedOakMap<K, V, ...> (oak/map.hpp), the
-// same BasicOakMap body the plain OakMap uses — only the core differs.
+// This is the core of the one typed map: oak::OakMap and oak::ShardedOakMap
+// (oak/map.hpp) are the same BasicOakMap over it, and a plain OakConfig
+// means a 1-shard map.  It is also the only owner of durability (DESIGN.md
+// §12): one WAL, one checkpoint stream and one manifest for the whole map,
+// whatever the shard count; the shard cores always run in memory.
 #pragma once
 
 #include <algorithm>
@@ -80,6 +83,11 @@
 namespace oak {
 
 struct ShardedOakConfig {
+  ShardedOakConfig() = default;
+  /// A plain OakConfig means a 1-shard map with that per-shard config, so
+  /// every OakConfig call site builds the one map type unchanged.
+  ShardedOakConfig(OakConfig c) : shard(std::move(c)) {}
+
   /// Shard count used with the default splitter.  Ignored when `layout`
   /// carries explicit boundaries (then layout.shards() wins).
   std::size_t shards = 1;
@@ -95,9 +103,8 @@ struct ShardedOakConfig {
   ShardedOakConfig& withShards(std::size_t n) { shards = n; return *this; }
   ShardedOakConfig& withShard(OakConfig c) { shard = std::move(c); return *this; }
   ShardedOakConfig& withLayout(ShardLayout l) { layout = std::move(l); return *this; }
-  /// Durability in one call (DESIGN.md §12).  The sharded map logs through
-  /// ONE WAL and one checkpoint stream at the front-end level; the per-core
-  /// durability machinery stays disabled.
+  /// Durability in one call (DESIGN.md §12): the map logs through ONE WAL
+  /// and one checkpoint stream at the front-end level.
   ShardedOakConfig& withStorageDir(std::string dir) {
     shard.mem.storageDir = std::move(dir);
     return *this;
@@ -122,15 +129,13 @@ class ShardedOakCoreMap {
     shardCfg_ = cfg.shard;
     // Durability lives at the front-end: one WAL, one checkpoint stream,
     // one manifest (which also records the shard boundaries).  The cores
-    // are built explicitly in-memory — mem.storageDir = "" overrides any
-    // OAK_STORAGE_DIR — and share one file-backed pool when no explicit
-    // pool was injected.
+    // run in memory and share one file-backed pool when no explicit pool
+    // was injected.
     durDir_ = shardCfg_.effectiveStorageDir();
     std::optional<dur::RecoveryPlan> plan;
     if (durDir_.has_value()) {
       std::filesystem::create_directories(*durDir_);
-      shardCfg_.mem.storageDir = std::string{};
-      if (shardCfg_.effectivePool() == nullptr) {
+      if (shardCfg_.mem.pool == nullptr) {
         ownedPool_ = std::make_unique<mem::BlockPool>(
             mem::BlockPool::Config{.storageDir = *durDir_ + "/arenas"});
         shardCfg_.mem.pool = ownedPool_.get();
@@ -232,10 +237,9 @@ class ShardedOakCoreMap {
     return readOp(key, [&](Core& c) { return c.containsKey(key); });
   }
 
-  // The WAL hooks mirror OakCoreMap's: they fire at this level (the cores
-  // are built in-memory; see the constructor) after the routed operation
-  // linearizes, before the call returns.  All are no-ops when wal_ is null
-  // — in-memory maps and recovery replay.
+  // The WAL hooks fire after the routed operation linearizes, before the
+  // call returns (see "durability" below).  All are no-ops when wal_ is
+  // null — in-memory maps and recovery replay.
   bool put(ByteSpan key, ByteSpan value, ByteVec* old = nullptr) {
     const bool replaced = writeOp(key, [&](Core& c) { return c.put(key, value, old); });
     walLogPut(key, value);
@@ -609,10 +613,17 @@ class ShardedOakCoreMap {
   /// pinning a snapshot version, streams the merged cross-shard scan at
   /// that version into a new checkpoint file, and commits a manifest that
   /// also records the current shard boundaries.  Returns pairs written
-  /// (0 on in-memory maps).
+  /// (0 on in-memory maps).  Concurrent mutations proceed (only the
+  /// WAL-rotation instant is serialized with appends).  The auto-trigger
+  /// (OAK_WAL_BYTES) routes here through the maintenance service.
   std::uint64_t checkpointNow() {
     if (wal_ == nullptr) return 0;
     MutexLock lk(cpMu_);
+    // Rotate-and-pin under the WAL append mutex: every record already in
+    // the closed segments was appended — hence version-stamped — before
+    // the snapshot opened, so its effect is at or below V and lands in the
+    // checkpoint.  Anything after the rotation goes to the new segment and
+    // replays on top.  (§12.3 has the full argument.)
     std::optional<Snapshot> snap;
     const std::uint64_t newWalSeq =
         wal_->rotate([&] { snap.emplace(*snapDomain_); });
@@ -1176,8 +1187,12 @@ class ShardedOakCoreMap {
   }
 
   // ----------------------------------------------------- durability --
-  // Same shape as OakCoreMap's hooks; see that file for the ordering
-  // argument (append-after-linearize, rotate-then-pin at checkpoint).
+  /// WAL hooks, called from the public mutation wrappers after the routed
+  /// operation's in-memory linearization (and version stamp) but before
+  /// the call returns — the append IS the commit point.  Appends are
+  /// serialized by the WAL mutex, so two non-concurrent same-key ops log
+  /// in linearization order; truly concurrent same-key writes may log in
+  /// either order, both valid linearizations (DESIGN.md §12.2).
   void walLogPut(ByteSpan key, ByteSpan value) {
     if (wal_ == nullptr) return;
     wal_->appendPut(key, value);
@@ -1188,6 +1203,15 @@ class ShardedOakCoreMap {
     wal_->appendRemove(key);
     maybeCheckpoint();
   }
+  /// Compute-style ops mutate in place, so the record is the post-image
+  /// read back after the compute released the value's lock.  A read finding
+  /// the key gone means a concurrent remove won; its remove record covers
+  /// the key, so logging nothing is exact.  KNOWN GAP (DESIGN.md §12.1):
+  /// the read-back and the append are not one atomic step, so two
+  /// overlapping computes on one key can log f2(f1(x)) and then f1(x);
+  /// replay then restores f1(x), which matches neither linearization and
+  /// loses an upsert across reopen.  Closing it needs version-stamped WAL
+  /// records or an append made under the value's header lock.
   void walLogPostImage(ByteSpan key) {
     if (wal_ == nullptr) return;
     if (auto v = getCopy(key)) {
@@ -1196,6 +1220,9 @@ class ShardedOakCoreMap {
     }
   }
 
+  /// Auto-checkpoint trigger: when the current WAL segment outgrows the
+  /// configured budget, hand a checkpoint job to the maintenance service
+  /// (deduped by a self-owned flag) or run inline without one.
   void maybeCheckpoint() {
     if (wal_->bytesSinceRotate() < walBytesBudget_) return;
     if (svc_ == nullptr) {
@@ -1218,7 +1245,8 @@ class ShardedOakCoreMap {
   /// Recovery: route the checkpoint's globally sorted pair stream into each
   /// shard's bulk loader (a shard consumes until its upper boundary), then
   /// replay the WAL tail through the routed public ops.  wal_ is still null
-  /// throughout, so nothing re-logs.
+  /// throughout, so nothing re-logs.  Old segments stay on disk until the
+  /// next checkpoint — the replayed records' durability still lives there.
   void initDurable(const dur::RecoveryPlan& plan) {
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t replayed = 0;
@@ -1269,6 +1297,8 @@ class ShardedOakCoreMap {
         dur::Wal::Options{.policy = shardCfg_.effectiveFsyncPolicy(),
                           .intervalMs = shardCfg_.dur.fsyncIntervalMs});
     if (!plan.haveManifest) {
+      // First open: commit an empty-checkpoint manifest so a crash before
+      // the first checkpoint still finds its WAL start on reopen.
       MutexLock lk(cpMu_);
       dur::Manifest m;
       m.cpSeq = 0;

@@ -441,8 +441,11 @@ ShardedRound recordRoundWithSplits(std::uint64_t seed) {
         const std::uint64_t k = loadU64BE(e.key.data());
         std::uint64_t v = 0;
         try {
-          e.value.read(
-              [&](ByteSpan s) { v = loadUnaligned<std::uint64_t>(s.data()); });
+          // false: a remove won after the iterator saw the entry.
+          if (!e.value.read(
+                  [&](ByteSpan s) { v = loadUnaligned<std::uint64_t>(s.data()); })) {
+            continue;
+          }
         } catch (const ConcurrentModification&) {
           continue;  // §4.2: entry vanished mid-read, skipping is legal
         }

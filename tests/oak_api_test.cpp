@@ -340,21 +340,15 @@ TEST(OakApi, SizeAndContains) {
 }
 
 // ------------------------------------------------------------- config API
-// Contract of the nested-config redesign: the deprecated flat fields keep
-// compiling (one release of grace for aggregate initializers), the nested
-// group wins when both are set, and unset optionals fall through to the
-// flat field.
-TEST(OakApi, FlatConfigFieldsStillResolve) {
-  OakConfig cfg;
-  cfg.reclaim = ValueReclaim::Generational;  // deprecated flat field
-  cfg.emergencyReserveBytes = 4096;
-  EXPECT_EQ(cfg.effectiveReclaim(), ValueReclaim::Generational);
-  EXPECT_EQ(cfg.effectiveEmergencyReserve(), 4096u);
-
-  // Nested group beats the flat field once explicitly set.
-  cfg.mem.withReclaim(ValueReclaim::KeepHeaders).withEmergencyReserve(128);
-  EXPECT_EQ(cfg.effectiveReclaim(), ValueReclaim::KeepHeaders);
-  EXPECT_EQ(cfg.effectiveEmergencyReserve(), 128u);
+TEST(OakApi, OakMapIsTheOneShardShardedMap) {
+  // One map type: both names alias the same class, and an OakConfig builds
+  // a single-shard map.
+  static_assert(std::is_same_v<Map, ShardedOakMap<std::string, std::string,
+                                                  StringSerializer, StringSerializer>>);
+  Map m(smallChunks());
+  m.put("k", "v");
+  EXPECT_EQ(m.stats().shards, 1u);
+  EXPECT_EQ(m.core().shardCount(), 1u);
 }
 
 TEST(OakApi, BuilderComposesNestedGroups) {

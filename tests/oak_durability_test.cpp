@@ -1,6 +1,7 @@
-// Integrated durability coverage (DESIGN.md §12): recovery round-trips on
-// the plain and sharded cores, checkpoint + WAL-tail interaction, torn-tail
-// and bit-flip corruption degrades, and the kill -9 drills.
+// Integrated durability coverage (DESIGN.md §12) of the one durable map,
+// ShardedOakCoreMap: recovery round-trips on a 1-shard map (an OakConfig)
+// and on N shards, checkpoint + WAL-tail interaction, torn-tail and
+// bit-flip corruption degrades, and the kill -9 drills.
 //
 // The drills follow the acknowledged-writes oracle: a child process opens a
 // durable map with FsyncPolicy::EveryCommit, streams puts, and reports each
@@ -83,19 +84,19 @@ OakConfig durableCfg(const std::string& dir,
       .withDur(DurConfig{}.withFsyncPolicy(policy));
 }
 
-// =============================================================== core map
+// ========================================================== 1-shard map
 
 TEST(CoreRecovery, PutsSurviveReopen) {
   TempDir dir;
   {
-    OakCoreMap<> map(durableCfg(dir.str()));
+    ShardedOakCoreMap<> map(durableCfg(dir.str()));
     ASSERT_TRUE(map.durable());
     for (int i = 0; i < 500; ++i) {
       map.put(bytes(padKey(i)), bytes(valueFor(i, 'a')));
     }
     map.syncWal();
   }
-  OakCoreMap<> map(durableCfg(dir.str()));
+  ShardedOakCoreMap<> map(durableCfg(dir.str()));
   EXPECT_EQ(map.recoveryReplayedRecords(), 500u);
   EXPECT_EQ(map.sizeSlow(), 500u);
   for (int i = 0; i < 500; ++i) {
@@ -110,7 +111,7 @@ TEST(CoreRecovery, RemovesOverwritesAndComputesSurviveReopen) {
   TempDir dir;
   std::map<std::string, std::string> oracle;
   {
-    OakCoreMap<> map(durableCfg(dir.str()));
+    ShardedOakCoreMap<> map(durableCfg(dir.str()));
     XorShift rng(chaosSeed());
     for (int op = 0; op < 2000; ++op) {
       const int i = static_cast<int>(rng.next() % 200);
@@ -144,7 +145,7 @@ TEST(CoreRecovery, RemovesOverwritesAndComputesSurviveReopen) {
     }
     map.syncWal();
   }
-  OakCoreMap<> map(durableCfg(dir.str()));
+  ShardedOakCoreMap<> map(durableCfg(dir.str()));
   EXPECT_EQ(map.sizeSlow(), oracle.size());
   for (const auto& [k, v] : oracle) {
     auto got = map.getCopy(bytes(k));
@@ -157,7 +158,7 @@ TEST(CoreRecovery, RemovesOverwritesAndComputesSurviveReopen) {
 TEST(CoreRecovery, CheckpointTruncatesWalSoReplayCoversOnlyTheTail) {
   TempDir dir;
   {
-    OakCoreMap<> map(durableCfg(dir.str()));
+    ShardedOakCoreMap<> map(durableCfg(dir.str()));
     for (int i = 0; i < 400; ++i) {
       map.put(bytes(padKey(i)), bytes(valueFor(i, 'a')));
     }
@@ -167,7 +168,7 @@ TEST(CoreRecovery, CheckpointTruncatesWalSoReplayCoversOnlyTheTail) {
     }
     map.syncWal();
   }
-  OakCoreMap<> map(durableCfg(dir.str()));
+  ShardedOakCoreMap<> map(durableCfg(dir.str()));
   // The checkpoint absorbed the first 400; only the tail replays.
   EXPECT_EQ(map.recoveryReplayedRecords(), 50u);
   EXPECT_EQ(map.sizeSlow(), 450u);
@@ -182,7 +183,7 @@ TEST(CoreRecovery, CheckpointTruncatesWalSoReplayCoversOnlyTheTail) {
 TEST(CoreRecovery, RepeatedCheckpointsKeepTwoGenerationsAndRecover) {
   TempDir dir;
   {
-    OakCoreMap<> map(durableCfg(dir.str()));
+    ShardedOakCoreMap<> map(durableCfg(dir.str()));
     for (int round = 0; round < 3; ++round) {
       for (int i = round * 100; i < (round + 1) * 100; ++i) {
         map.put(bytes(padKey(i)), bytes(valueFor(i, 'r')));
@@ -191,7 +192,7 @@ TEST(CoreRecovery, RepeatedCheckpointsKeepTwoGenerationsAndRecover) {
     }
     EXPECT_EQ(map.stats().checkpoints, 3u);
   }
-  OakCoreMap<> map(durableCfg(dir.str()));
+  ShardedOakCoreMap<> map(durableCfg(dir.str()));
   EXPECT_EQ(map.recoveryReplayedRecords(), 0u);
   EXPECT_EQ(map.sizeSlow(), 300u);
   EXPECT_TRUE(ChunkWalker<BytesComparator>::validate(map).ok);
@@ -200,13 +201,13 @@ TEST(CoreRecovery, RepeatedCheckpointsKeepTwoGenerationsAndRecover) {
 TEST(CoreRecovery, ScansAndSnapshotsWorkOnRecoveredMap) {
   TempDir dir;
   {
-    OakCoreMap<> map(durableCfg(dir.str()));
+    ShardedOakCoreMap<> map(durableCfg(dir.str()));
     for (int i = 0; i < 300; ++i) {
       map.put(bytes(padKey(i)), bytes(valueFor(i, 'a')));
     }
     map.checkpointNow();
   }
-  OakCoreMap<> map(durableCfg(dir.str()));
+  ShardedOakCoreMap<> map(durableCfg(dir.str()));
   // Bulk-loaded values must be visible to snapshot scans (stamped at load).
   int n = 0;
   std::string prev;
@@ -225,7 +226,7 @@ TEST(CoreRecovery, ScansAndSnapshotsWorkOnRecoveredMap) {
 }
 
 TEST(CoreRecovery, ExplicitEmptyStorageDirDisablesDurability) {
-  OakCoreMap<> map(OakConfig{}.withStorageDir(std::string{}));
+  ShardedOakCoreMap<> map(OakConfig{}.withStorageDir(std::string{}));
   EXPECT_FALSE(map.durable());
   EXPECT_EQ(map.checkpointNow(), 0u);
   map.syncWal();  // no-op, must not crash
@@ -323,7 +324,7 @@ TEST(ShardedRecovery, LayoutSurvivesOnlineSplit) {
 TEST(Corruption, TornWalTailRecoversAcknowledgedPrefix) {
   TempDir dir;
   {
-    OakCoreMap<> map(durableCfg(dir.str()));
+    ShardedOakCoreMap<> map(durableCfg(dir.str()));
     for (int i = 0; i < 100; ++i) {
       map.put(bytes(padKey(i)), bytes(valueFor(i, 'w')));
     }
@@ -336,7 +337,7 @@ TEST(Corruption, TornWalTailRecoversAcknowledgedPrefix) {
   const auto size = fs::file_size(seg);
   fs::resize_file(seg, size - 5);
 
-  OakCoreMap<> map(durableCfg(dir.str()));
+  ShardedOakCoreMap<> map(durableCfg(dir.str()));
   EXPECT_EQ(map.recoveryReplayedRecords(), 99u);
   EXPECT_EQ(map.sizeSlow(), 99u);
   EXPECT_TRUE(map.containsKey(bytes(padKey(98))));
@@ -348,7 +349,7 @@ TEST(Corruption, BitFlippedCheckpointDegradesToPreviousGeneration) {
   TempDir dir;
   std::uint64_t liveCp = 0;
   {
-    OakCoreMap<> map(durableCfg(dir.str()));
+    ShardedOakCoreMap<> map(durableCfg(dir.str()));
     for (int i = 0; i < 100; ++i) {
       map.put(bytes(padKey(i)), bytes(valueFor(i, 'g')));
     }
@@ -376,7 +377,7 @@ TEST(Corruption, BitFlippedCheckpointDegradesToPreviousGeneration) {
     f.seekp(64);
     f.write(&b, 1);
   }
-  OakCoreMap<> map(durableCfg(dir.str()));
+  ShardedOakCoreMap<> map(durableCfg(dir.str()));
   EXPECT_EQ(map.sizeSlow(), 120u) << "prev checkpoint + WAL replay must "
                                      "reconstruct every acknowledged write";
   EXPECT_GE(map.recoveryReplayedRecords(), 20u);
@@ -396,7 +397,7 @@ constexpr char kDrillValueTag = 'k';
 
 [[noreturn]] void drillChild(const std::string& dir, int pipeFd,
                              bool checkpointEvery256) {
-  OakCoreMap<> map(durableCfg(dir, dur::FsyncPolicy::EveryCommit));
+  ShardedOakCoreMap<> map(durableCfg(dir, dur::FsyncPolicy::EveryCommit));
   for (int i = 0;; ++i) {
     map.put(bytes(padKey(i)), bytes(valueFor(i, kDrillValueTag)));
     const std::uint32_t id = static_cast<std::uint32_t>(i);
@@ -433,7 +434,7 @@ int runKillDrill(const std::string& dir, int killAfterAcks,
 }
 
 void expectAckedWritesRecovered(const std::string& dir, int lastAck) {
-  OakCoreMap<> map(durableCfg(dir));
+  ShardedOakCoreMap<> map(durableCfg(dir));
   for (int i = 0; i <= lastAck; ++i) {
     auto v = map.getCopy(bytes(padKey(i)));
     ASSERT_TRUE(v.has_value()) << "acknowledged write lost: " << padKey(i);
@@ -507,7 +508,7 @@ std::string churnValue(int w, int j) {
                  .withMem(MemConfig{}.withPool(&pool).withCompactionOccupancy(0.6))
                  .withStorageDir(dir)
                  .withDur(DurConfig{}.withFsyncPolicy(dur::FsyncPolicy::EveryCommit));
-  OakCoreMap<> map(cfg);
+  ShardedOakCoreMap<> map(cfg);
   int stream = 0;
   for (int w = 0;; ++w) {
     for (int j = 0; j < kChurnPerWave; ++j) {
@@ -571,7 +572,7 @@ TEST(KillDrill, SigkillMidCompactionRecoversPreOrPostMoveNeverTorn) {
   EXPECT_GT(compactions, 0) << "no evacuation retired an arena before the "
                                "kill — the drill proved nothing";
 
-  OakCoreMap<> map(durableCfg(dir.str()));
+  ShardedOakCoreMap<> map(durableCfg(dir.str()));
   // Acknowledged stream keys are never removed: each must survive bit-exact,
   // whichever arena its slice sat in when checkpoint or replay saw it.
   for (int i = 0; i <= lastAck; ++i) {

@@ -158,8 +158,12 @@ class ScanRecorder {
     auto e = it.entry();
     const std::uint64_t k = loadU64BE(e.key.data());
     std::uint64_t v = 0;
+    // read() returns false when a remove won after the iterator saw the
+    // entry; like a vanished entry, §4.2 allows skipping it.
     try {
-      e.value.read([&](ByteSpan s) { v = loadUnaligned<std::uint64_t>(s.data()); });
+      if (!e.value.read([&](ByteSpan s) { v = loadUnaligned<std::uint64_t>(s.data()); })) {
+        return;
+      }
     } catch (const ConcurrentModification&) {
       return;  // entry vanished mid-read; §4.2 allows skipping it
     }
