@@ -47,7 +47,7 @@ struct Options {
   bool valueJitter = false;  // --churn: puts draw jittered value sizes
   double zipfTheta = 0;      // --zipf: skewed key choice (0 = uniform)
   bool snapshotScans = false;  // snapshot-churn: scans pin an MVCC version
-  int maintThreads = -1;     // --maint-threads: background rebalance workers
+  unsigned maintThreads = 0;  // --maint-threads: background rebalance workers
   unsigned offHeapSlackPct = 6;  // arena headroom over raw data
   bool generationalValues = false;  // recycle value headers (churn preset)
   bool descending = false;   // -a 100 with scans
@@ -87,7 +87,7 @@ void usage() {
       "  --no-magazines       pre-PR first-fit slow path (A/B baseline)\n"
       "  --zipf <theta>       zipfian key skew (YCSB formula; 0.99 typical)\n"
       "  --maint-threads <n>  background maintenance workers for Oak\n"
-      "                       (0 = inline rebalance on mutators, -1 = env/auto)\n"
+      "                       (0 = inline rebalance on mutators, the default)\n"
       "  --scenario <4a..4f|churn|zipf|snapshot-churn|recovery|compaction>\n"
       "                       canned scenario\n"
       "  --no-snapshot-scans  snapshot-churn baseline: same mix, scans\n"
@@ -864,7 +864,7 @@ int main(int argc, char** argv) {
     } else if (a == "--zipf") {
       o.zipfTheta = std::stod(next());
     } else if (a == "--maint-threads") {
-      o.maintThreads = std::stoi(next());
+      o.maintThreads = static_cast<unsigned>(std::stoul(next()));
     } else if (a == "--scenario") {
       o.scenario = next();
       applyScenario(o);

@@ -98,8 +98,8 @@ class OakAdapter {
     }
     auto scfg = ShardedOakConfig{}
                     .withShards(cfg.shards < 1 ? 1 : cfg.shards)
-                    .withShard(std::move(shard));
-    if (!cfg.storageDir.empty()) scfg.withStorageDir(cfg.storageDir);
+                    .withShard(std::move(shard))
+                    .withStorageDir(cfg.storageDir);  // empty = in-memory
     // Bench ids are dense in [0, keyRange) behind an 8-byte BE prefix —
     // split that range, not the full u64 space.
     scfg.withLayout(ShardLayout::uniformRange(scfg.shards, cfg.keyRange));

@@ -50,10 +50,9 @@ struct BenchConfig {
   /// delete-heavy mix must recycle them or the bench measures the leak.
   bool generationalValues = false;
 
-  /// Background maintenance workers for the Oak adapter (MaintenanceConfig
-  /// precedence applies: -1 resolves through OAK_MAINT_THREADS, 0 runs
-  /// rebalance inline on the mutators — the seed's behavior).
-  int maintThreads = -1;
+  /// Background maintenance workers for the Oak adapter (0 runs rebalance
+  /// inline on the mutators — the seed's behavior).
+  unsigned maintThreads = 0;
   /// Maintenance rate limit in bytes/sec (0 = unthrottled) and queue depth.
   std::size_t maintRateLimitBytesPerSec = 0;
   std::size_t maintQueueDepth = 256;

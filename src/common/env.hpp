@@ -1,17 +1,14 @@
 // oak::env — the one place runtime environment variables are read.
 //
-// Every tunable in Oak resolves through a single precedence rule:
+// Map knobs never come from here: every OakConfig field resolves as
+// explicit config > compiled default (oaklint R8 keeps library code under
+// src/ from reading the environment, except this gateway, the fault
+// schedule in common/fault.cpp and the bench harness in benchcore/).  The
+// variables below steer tests, benchmarks and checked-build fault
+// injection.  Ad-hoc getenv calls elsewhere in the tree are a bug — route
+// them here so the variable names stay documented in one place.
 //
-//     explicit config  >  environment variable  >  compiled default
-//
-// Config structs express "not explicitly set" with a sentinel (nullopt /
-// -1); their effective*() accessors call these helpers for the middle rung.
-// Ad-hoc getenv calls elsewhere in the tree are a bug — route them here so
-// the precedence stays auditable and the variable names stay documented.
-//
-// Recognized variables (see README "Configuration"):
-//   OAK_MAGAZINES      flag   size-class magazine layer (default on)
-//   OAK_MAINT_THREADS  u64    background maintenance workers (default 0)
+// Recognized variables (see README):
 //   OAK_FAULT_SPEC     str    chaos schedules, checked builds only
 //   OAK_BENCH_VALIDATE flag   post-stage structural validation (default off)
 //   OAK_BENCH_METRICS  flag   METRICS line emission (default on)
@@ -19,10 +16,6 @@
 //   OAK_SHARDS         u64    shard counts exercised by the sharded suites
 //   OAK_MODEL_SEED     u64    model-checking test seed
 //   OAK_SNAPSHOT_OPS   u64    snapshot-fuzz op budget (full tier raises it)
-//   OAK_STORAGE_DIR    str    durability root: set → maps persist there
-//                             (map front end only; OakCoreMap ignores it)
-//   OAK_FSYNC_POLICY   str    WAL sync: never | interval | every-commit
-//   OAK_WAL_BYTES      u64    WAL bytes that auto-trigger a checkpoint
 //   OAK_BENCH_SIZE / _DURATION_MS / _SCAN_LEN / _REPEATS / _SHARDS   u64
 //   OAK_BENCH_THREADS / OAK_BENCH_FIG3_SIZES   space-separated lists
 //   OAK_BENCH_FIG3_RAM_MB   u64

@@ -43,13 +43,13 @@ bool MaintenanceService::submit(void* owner, ByteVec key, std::size_t costBytes,
   {
     MutexLock lk(mu_);
     if (stop_ || detaching_.count(owner) != 0) return false;
-    if (!queuedKeys_.emplace(owner, key).second) {
+    if (!queuedKeys_.insert(idOf(owner, fn, key)).second) {
       coalesced_.fetch_add(1, std::memory_order_relaxed);
       submitted_.fetch_add(1, std::memory_order_relaxed);
       return true;  // already queued: coalesce
     }
     if (queue_.size() >= queueDepth_) {
-      queuedKeys_.erase({owner, key});
+      queuedKeys_.erase(idOf(owner, fn, key));
       rejected_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
@@ -68,7 +68,7 @@ void MaintenanceService::detach(void* owner) {
   detaching_.insert(owner);
   for (auto it = queue_.begin(); it != queue_.end();) {
     if (it->owner == owner) {
-      queuedKeys_.erase({it->owner, it->key});
+      queuedKeys_.erase(idOf(it->owner, it->fn, it->key));
       it = queue_.erase(it);
     } else {
       ++it;
@@ -138,7 +138,7 @@ MaintenanceService::Job MaintenanceService::takeFrontLocked() {
   queue_.pop_front();
   // The dedupe entry clears at *pop*, not completion: a chunk re-tripping
   // the policy while its job runs must be able to queue a fresh pass.
-  queuedKeys_.erase({j.owner, j.key});
+  queuedKeys_.erase(idOf(j.owner, j.fn, j.key));
   running_.push_back(j.owner);
   return j;
 }

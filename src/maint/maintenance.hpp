@@ -11,9 +11,10 @@
 // Shape of the service:
 //
 //   * submit(owner, key, cost, fn) — O(log q) enqueue, deduplicated per
-//     (owner, key): a chunk that trips the policy on every insert queues
-//     one job, not hundreds.  Returns false when the queue is at depth —
-//     the caller then decides (inline fallback or drop).
+//     (owner, fn, key): a chunk that trips the policy on every insert
+//     queues one job, not hundreds, and jobs of different kinds never
+//     coalesce.  Returns false when the queue is at depth — the caller
+//     then decides (inline fallback or drop).
 //   * Jobs name work by *key*, never by pointer: a queued chunk can be
 //     retired by a racing inline rebalance before the worker runs, so the
 //     worker re-locates by key under an epoch guard and re-checks policy.
@@ -28,8 +29,8 @@
 //     in-flight ones — the map destructor's first move.
 //
 // One service can serve many maps: ShardedOakCoreMap shares a single pool
-// across all shards (and its own shard-management jobs) by passing itself
-// via MaintenanceConfig::service.
+// across all shards (and its own shard-management jobs) by handing it to
+// each shard's OakCoreMap constructor.
 #pragma once
 
 #include <atomic>
@@ -40,28 +41,24 @@
 #include <deque>
 #include <set>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/annotations.hpp"
 #include "common/bytes.hpp"
-#include "common/env.hpp"
 #include "common/mutex.hpp"
 
 namespace oak::maint {
-
-class MaintenanceService;
 
 /// Maintenance knob group nested inside OakConfig (see core_map.hpp for the
 /// full configuration story).  All setters are fluent:
 ///
 ///   MaintenanceConfig{}.withThreads(2).withRateLimit(64 << 20)
 struct MaintenanceConfig {
-  /// Background worker threads.  -1 (default) resolves through the standard
-  /// precedence: explicit config > OAK_MAINT_THREADS > 0.  With 0 threads
-  /// the map behaves exactly like the seed: rebalance runs inline on the
-  /// mutator.
-  int threads = -1;
+  /// Background worker threads.  With 0 (default) the map behaves exactly
+  /// like the seed: rebalance runs inline on the mutator.
+  unsigned threads = 0;
   /// Token-bucket refill rate for worker-executed jobs, in bytes of chunk
   /// footprint per second.  0 = unthrottled.
   std::size_t rateLimitBytesPerSec = 0;
@@ -74,8 +71,9 @@ struct MaintenanceConfig {
 
   // ---- online shard management (ShardedOakMap only) ----
   /// Submit hot/cold shard checks to the service automatically every
-  /// `manageCheckOps` operations.  Off by default; manageShardsOnce() stays
-  /// available for explicit control either way.
+  /// ShardedOakCoreMap::kManageCheckOps operations per thread.  Off by
+  /// default; manageShardsOnce() stays available for explicit control
+  /// either way.
   bool autoShardManage = false;
   /// Split the hottest shard when its share of recent operations exceeds
   /// splitLoadFactor / shardCount (i.e. it is `splitLoadFactor` times an
@@ -87,22 +85,11 @@ struct MaintenanceConfig {
   /// Never split a shard with fewer chunks than this (tiny shards gain
   /// nothing from splitting).
   std::size_t minSplitChunks = 2;
-  std::size_t maxShards = 64;
-  std::uint64_t manageCheckOps = 1 << 16;
 
-  /// External service to share (non-owning).  When null the map owns a
-  /// private pool of `threads` workers.  ShardedOakCoreMap overrides this
-  /// for its per-shard cores so all shards share one pool.
-  MaintenanceService* service = nullptr;
-
-  /// Worker count after the precedence rule (explicit > env > default 0).
-  unsigned effectiveThreads() const {
-    if (threads >= 0) return static_cast<unsigned>(threads);
-    return static_cast<unsigned>(env::u64("OAK_MAINT_THREADS", 0));
-  }
+  unsigned effectiveThreads() const noexcept { return threads; }
 
   // ---- fluent setters ----
-  MaintenanceConfig& withThreads(int t) { threads = t; return *this; }
+  MaintenanceConfig& withThreads(unsigned t) { threads = t; return *this; }
   MaintenanceConfig& withRateLimit(std::size_t bytesPerSec) {
     rateLimitBytesPerSec = bytesPerSec;
     return *this;
@@ -113,9 +100,6 @@ struct MaintenanceConfig {
   MaintenanceConfig& withSplitLoadFactor(double f) { splitLoadFactor = f; return *this; }
   MaintenanceConfig& withMergeLoadFactor(double f) { mergeLoadFactor = f; return *this; }
   MaintenanceConfig& withMinSplitChunks(std::size_t n) { minSplitChunks = n; return *this; }
-  MaintenanceConfig& withMaxShards(std::size_t n) { maxShards = n; return *this; }
-  MaintenanceConfig& withManageCheckOps(std::uint64_t n) { manageCheckOps = n; return *this; }
-  MaintenanceConfig& withService(MaintenanceService* s) { service = s; return *this; }
 };
 
 /// Point-in-time service gauges, exported through obs::Metrics (a sharded
@@ -136,8 +120,9 @@ struct MaintenanceStats {
 class MaintenanceService {
  public:
   /// Jobs are a plain function pointer + owner so the queue never type-erases
-  /// into allocating closures; `key` names the work (chunk minKey, or an
-  /// owner-defined tag for non-chunk jobs like shard management).
+  /// into allocating closures; `key` names the work within its kind (a
+  /// chunk's minKey; empty for once-per-owner jobs like shard management,
+  /// which their fn alone identifies).
   using JobFn = void (*)(void* owner, const ByteVec& key);
 
   explicit MaintenanceService(unsigned threads,
@@ -149,8 +134,8 @@ class MaintenanceService {
   MaintenanceService& operator=(const MaintenanceService&) = delete;
 
   /// Enqueues (or coalesces) a job.  Returns false iff the queue is full —
-  /// the caller falls back inline or drops.  Duplicate (owner, key) pairs
-  /// already queued are coalesced and count as success.
+  /// the caller falls back inline or drops.  A job whose (owner, fn, key)
+  /// is already queued is coalesced and counts as success.
   bool submit(void* owner, ByteVec key, std::size_t costBytes, JobFn fn);
 
   /// Cancels `owner`'s queued jobs and waits for its in-flight ones.  After
@@ -193,8 +178,15 @@ class MaintenanceService {
   std::condition_variable workCv_;   // queue non-empty / unpaused / stop
   std::condition_variable idleCv_;   // job finished or queue emptied
   std::deque<Job> queue_ OAK_GUARDED_BY(mu_);
+  /// Dedupe identity of a queued job.  The fn is part of it: a chunk job's
+  /// minKey can equal another job kind's key, and coalescing the two would
+  /// silently drop one of them.
+  using JobId = std::tuple<void*, std::uintptr_t, ByteVec>;
+  static JobId idOf(void* owner, JobFn fn, const ByteVec& key) {
+    return {owner, reinterpret_cast<std::uintptr_t>(fn), key};
+  }
   /// Dedupe index over queue_.
-  std::set<std::pair<void*, ByteVec>> queuedKeys_ OAK_GUARDED_BY(mu_);
+  std::set<JobId> queuedKeys_ OAK_GUARDED_BY(mu_);
   std::vector<void*> running_ OAK_GUARDED_BY(mu_);  // owners of in-flight jobs
   std::set<void*> detaching_ OAK_GUARDED_BY(mu_);   // mid-detach: submit() rejects
   bool paused_ OAK_GUARDED_BY(mu_) = false;

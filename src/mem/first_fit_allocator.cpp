@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/thread_registry.hpp"
@@ -21,8 +19,7 @@ void FirstFitAllocator::setMagazinesDefaultEnabled(bool on) {
 }
 
 bool FirstFitAllocator::magazinesDefaultEnabled() {
-  static const bool envEnabled = env::flag("OAK_MAGAZINES", true);
-  return envEnabled && gMagazinesDefault.load(std::memory_order_relaxed);
+  return gMagazinesDefault.load(std::memory_order_relaxed);
 }
 
 void FirstFitAllocator::setMagazinesEnabled(bool on) {

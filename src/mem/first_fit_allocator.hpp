@@ -140,9 +140,8 @@ class FirstFitAllocator {
   void setMagazinesEnabled(bool on);
   bool magazinesEnabled() const noexcept { return magsEnabled_; }
 
-  /// Process-wide default for new instances (also overridable with the
-  /// OAK_MAGAZINES environment variable; "0" disables).  Benchmarks use it
-  /// to build whole maps on the pre-magazine path.
+  /// Process-wide default for new instances (on unless turned off here).
+  /// Benchmarks use it to build whole maps on the pre-magazine path.
   static void setMagazinesDefaultEnabled(bool on);
   static bool magazinesDefaultEnabled();
 

@@ -25,7 +25,6 @@
 #include "common/annotations.hpp"
 #include "common/bytes.hpp"
 #include "common/checked.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/mutex.hpp"
@@ -46,8 +45,7 @@
 
 namespace oak {
 
-/// Memory knob group nested inside OakConfig.  Optional fields defer to an
-/// environment variable when unset.  All setters are fluent.
+/// Memory knob group nested inside OakConfig.  All setters are fluent.
 struct MemConfig {
   mheap::ManagedHeap* metaHeap = nullptr;  ///< on-heap metadata; default: unlimited
   mem::BlockPool* pool = nullptr;          ///< off-heap arena pool; default: global
@@ -59,23 +57,21 @@ struct MemConfig {
   /// DESIGN.md "Failure model & degraded operation" for sizing guidance.
   std::size_t emergencyReserveBytes = 0;
   /// Size-class magazine layer for this instance's allocator.  Unset defers
-  /// to the OAK_MAGAZINES environment gate (default on).
+  /// to the allocator's process-wide default (on unless a benchmark turned
+  /// it off with FirstFitAllocator::setMagazinesDefaultEnabled).
   std::optional<bool> magazines;
-  /// Background arena evacuation (slice relocation + compaction).  Unset
-  /// defers to the OAK_COMPACTION environment gate (default off — opt-in;
-  /// compactNow() always works regardless).
-  std::optional<bool> compaction;
+  /// Background arena evacuation (slice relocation + compaction); opt-in,
+  /// and compactNow() always works regardless.
+  bool compaction = false;
   /// Occupancy threshold for victim selection: an arena whose live bytes
   /// are at or below this fraction of the block is evacuation-eligible.
-  /// Unset defers to OAK_COMPACTION_OCCUPANCY (percent), then 25%.
-  std::optional<double> compactionOccupancy;
+  double compactionOccupancy = 0.25;
   /// Storage directory for durability (DESIGN.md §12), read only by the
-  /// map front end (ShardedOakCoreMap); a bare OakCoreMap ignores it.  Set →
-  /// the map is durable: file-backed arenas under <dir>/arenas, a WAL,
-  /// checkpoints and crash recovery in <dir>.  One map per directory.  Unset
-  /// defers to OAK_STORAGE_DIR; an explicit empty string disables
-  /// durability even when the environment variable is set.
-  std::optional<std::string> storageDir;
+  /// map front end (ShardedOakCoreMap); a bare OakCoreMap ignores it.
+  /// Non-empty → the map is durable: file-backed arenas under <dir>/arenas,
+  /// a WAL, checkpoints and crash recovery in <dir>.  One map per
+  /// directory.  Empty (default) → in-memory.
+  std::string storageDir;
 
   MemConfig& withMetaHeap(mheap::ManagedHeap* h) { metaHeap = h; return *this; }
   MemConfig& withPool(mem::BlockPool* p) { pool = p; return *this; }
@@ -100,13 +96,12 @@ struct MemConfig {
 /// active only when a storage directory is configured — see
 /// MemConfig::storageDir).
 struct DurConfig {
-  /// WAL fsync policy.  Unset defers to OAK_FSYNC_POLICY, then Interval.
-  std::optional<dur::FsyncPolicy> fsyncPolicy;
+  /// WAL fsync policy.
+  dur::FsyncPolicy fsyncPolicy = dur::FsyncPolicy::Interval;
   /// Interval policy's window: at most one fdatasync per this many ms.
   std::uint32_t fsyncIntervalMs = 50;
-  /// WAL bytes that trigger an automatic checkpoint.  Unset defers to
-  /// OAK_WAL_BYTES, then 64 MiB.
-  std::optional<std::size_t> walBytes;
+  /// WAL bytes that trigger an automatic checkpoint.
+  std::size_t walBytes = 64u << 20;
 
   DurConfig& withFsyncPolicy(dur::FsyncPolicy p) { fsyncPolicy = p; return *this; }
   DurConfig& withFsyncIntervalMs(std::uint32_t ms) { fsyncIntervalMs = ms; return *this; }
@@ -122,9 +117,8 @@ struct DurConfig {
 ///                  .withMem(MemConfig{}.withMetaHeap(&heap).withPool(&pool))
 ///                  .withMaintenance(MaintenanceConfig{}.withThreads(2));
 ///
-/// Every knob resolves with one precedence rule: explicit config > oak::env
-/// environment variable > compiled default (see common/env.hpp for the
-/// recognized variables).  The effective*() accessors below implement it.
+/// Every knob resolves as explicit config > compiled default; no knob reads
+/// the environment.  The effective*() accessors report the resolved values.
 struct OakConfig {
   std::int32_t chunkCapacity = 2048;    ///< paper: 4K entries per chunk
   double maxUnsortedRatio = 0.5;        ///< rebalance when bypasses exceed this
@@ -133,57 +127,24 @@ struct OakConfig {
   /// Memory knobs (arena, managed heap, reclamation, magazines, storage).
   MemConfig mem;
   /// Durability knobs (WAL fsync policy, checkpoint trigger), read by the
-  /// map front end; only meaningful when mem.storageDir (or
-  /// OAK_STORAGE_DIR) is set.
+  /// map front end; only meaningful when mem.storageDir is set.
   DurConfig dur;
   /// Background maintenance pool + online shard management thresholds
   /// (maint/maintenance.hpp).  Default: no workers — rebalance runs inline
   /// on the mutator, exactly the paper's (and the seed's) behavior.
   maint::MaintenanceConfig maintenance;
-  /// Shared MVCC clock/pin table for snapshot scans (snapshot.hpp).  The
-  /// sharded map injects one domain into every shard so a merged cross-shard
-  /// scan pins a single version; a bare core left null owns a private one.
-  SnapshotDomain* snapshotDomain = nullptr;
 
-  // ---- effective values (explicit > env > default) ---------------------
+  // ---- effective values ------------------------------------------------
   ValueReclaim effectiveReclaim() const noexcept { return mem.reclaim; }
   std::size_t effectiveEmergencyReserve() const noexcept {
     return mem.emergencyReserveBytes;
   }
   bool effectiveMagazines() const noexcept {
-    if (mem.magazines.has_value()) return *mem.magazines;
-    return env::flag("OAK_MAGAZINES", true);
+    return mem.magazines.value_or(mem::FirstFitAllocator::magazinesDefaultEnabled());
   }
-  bool effectiveCompaction() const noexcept {
-    if (mem.compaction.has_value()) return *mem.compaction;
-    return env::flag("OAK_COMPACTION", false);
-  }
-  double effectiveCompactionOccupancy() const noexcept {
-    if (mem.compactionOccupancy.has_value()) return *mem.compactionOccupancy;
-    return static_cast<double>(env::u64("OAK_COMPACTION_OCCUPANCY", 25)) / 100.0;
-  }
-  /// Resolved storage directory; nullopt = in-memory map.  An explicitly
-  /// set empty string disables durability, overriding OAK_STORAGE_DIR.
-  std::optional<std::string> effectiveStorageDir() const {
-    if (mem.storageDir.has_value()) {
-      if (mem.storageDir->empty()) return std::nullopt;
-      return mem.storageDir;
-    }
-    auto e = env::str("OAK_STORAGE_DIR");
-    if (e.has_value() && !e->empty()) return e;
-    return std::nullopt;
-  }
-  dur::FsyncPolicy effectiveFsyncPolicy() const {
-    if (dur.fsyncPolicy.has_value()) return *dur.fsyncPolicy;
-    if (auto s = env::str("OAK_FSYNC_POLICY")) {
-      if (auto p = dur::parseFsyncPolicy(*s)) return *p;
-    }
-    return dur::FsyncPolicy::Interval;
-  }
-  std::size_t effectiveWalBytes() const {
-    if (dur.walBytes.has_value()) return *dur.walBytes;
-    return static_cast<std::size_t>(env::u64("OAK_WAL_BYTES", 64u << 20));
-  }
+  bool effectiveCompaction() const noexcept { return mem.compaction; }
+  dur::FsyncPolicy effectiveFsyncPolicy() const noexcept { return dur.fsyncPolicy; }
+  std::size_t effectiveWalBytes() const noexcept { return dur.walBytes; }
 
   // ---- fluent setters --------------------------------------------------
   OakConfig& withChunkCapacity(std::int32_t c) { chunkCapacity = c; return *this; }
@@ -201,10 +162,6 @@ struct OakConfig {
   }
   OakConfig& withMaintenance(maint::MaintenanceConfig m) {
     maintenance = std::move(m);
-    return *this;
-  }
-  OakConfig& withSnapshotDomain(SnapshotDomain* d) {
-    snapshotDomain = d;
     return *this;
   }
 };
@@ -225,13 +182,26 @@ class OakCoreMap {
   using Index = sl::SkipList<ByteVec, ChunkT*, IndexCmp>;
 
  public:
+  /// A bare core owns its maintenance pool (when cfg.maintenance.threads >
+  /// 0) and a private snapshot domain.  ShardedOakCoreMap passes its shared
+  /// `service` (null when it runs no workers) and `domain` to every shard,
+  /// so all shards run jobs on one pool and a merged cross-shard scan pins
+  /// one version.
   explicit OakCoreMap(OakConfig cfg = OakConfig{}, Compare cmp = Compare{})
-      : cfg_(cfg),
+      : OakCoreMap(std::move(cfg), cmp, nullptr, nullptr) {}
+  OakCoreMap(OakConfig cfg, Compare cmp, maint::MaintenanceService* service,
+             SnapshotDomain& domain)
+      : OakCoreMap(std::move(cfg), cmp, service, &domain) {}
+
+ private:
+  OakCoreMap(OakConfig cfg, Compare cmp, maint::MaintenanceService* service,
+             SnapshotDomain* domain)
+      : cfg_(std::move(cfg)),
         cmp_(cmp),
-        metaHeap_(cfg.mem.metaHeap != nullptr ? *cfg.mem.metaHeap
-                                              : mheap::ManagedHeap::unlimited()),
-        pool_(cfg.mem.pool != nullptr ? *cfg.mem.pool : mem::BlockPool::global()),
-        mm_(pool_, static_cast<std::uint32_t>(cfg.effectiveEmergencyReserve())),
+        metaHeap_(cfg_.mem.metaHeap != nullptr ? *cfg_.mem.metaHeap
+                                               : mheap::ManagedHeap::unlimited()),
+        pool_(cfg_.mem.pool != nullptr ? *cfg_.mem.pool : mem::BlockPool::global()),
+        mm_(pool_, static_cast<std::uint32_t>(cfg_.effectiveEmergencyReserve())),
         indexMem_(metaHeap_),
         index_(IndexCmp{cmp}, indexMem_) {
     // OakSan: chunk metadata (and the off-heap keys it references) is
@@ -242,33 +212,27 @@ class OakCoreMap {
       mm_.allocator().setMagazinesEnabled(*cfg_.mem.magazines);
     }
     if (cfg_.effectiveReclaim() == ValueReclaim::Generational) headerPool_.emplace(mm_);
-    compactionEnabled_ = cfg_.effectiveCompaction();
-    compactionOccupancy_ = cfg_.effectiveCompactionOccupancy();
     ChunkT* head = ChunkT::make(metaHeap_, mm_, cmp_, ByteVec{}, cfg_.chunkCapacity);
     head_.store(head, std::memory_order_release);
     index_.put(ByteVec{}, head);
     chunkCount_.store(1, std::memory_order_relaxed);
-    // Background maintenance: share an external service when given one,
-    // otherwise own a pool when the effective thread count is non-zero.
-    maintSvc_ = cfg_.maintenance.service;
-    if (maintSvc_ == nullptr) {
-      const unsigned t = cfg_.maintenance.effectiveThreads();
-      if (t > 0) {
+    if (domain == nullptr) {
+      // Bare core: own the pool the config asks for, and a private domain.
+      if (cfg_.maintenance.threads > 0) {
         ownedSvc_ = std::make_unique<maint::MaintenanceService>(
-            t, cfg_.maintenance.rateLimitBytesPerSec, cfg_.maintenance.queueDepth);
-        maintSvc_ = ownedSvc_.get();
+            cfg_.maintenance.threads, cfg_.maintenance.rateLimitBytesPerSec,
+            cfg_.maintenance.queueDepth);
+        service = ownedSvc_.get();
       }
-    }
-    // MVCC snapshot substrate: share the injected domain (sharded maps pin
-    // one version across shards) or own a private one.
-    snapDomain_ = cfg_.snapshotDomain;
-    if (snapDomain_ == nullptr) {
       ownedSnapDomain_ = std::make_unique<SnapshotDomain>();
-      snapDomain_ = ownedSnapDomain_.get();
+      domain = ownedSnapDomain_.get();
     }
+    maintSvc_ = service;
+    snapDomain_ = domain;
     snapCtx_ = detail::SnapCtx{snapDomain_, this, &OakCoreMap::vgcFeedThunk};
   }
 
+ public:
   ~OakCoreMap() {
     // First cut the maintenance service loose: cancel queued jobs naming
     // this map and wait out in-flight ones — after detach no worker can
@@ -867,8 +831,8 @@ class OakCoreMap {
   /// version nodes under the value write lock; value headers are pinned and
   /// never move — then returns the emptied blocks to the pool.  Serialized
   /// against itself; readers and mutators stay fully concurrent.  Returns
-  /// the number of arenas retired.  The OAK_COMPACTION background trigger
-  /// routes here through the maintenance service.
+  /// the number of arenas retired.  The MemConfig::compaction background
+  /// trigger routes here through the maintenance service.
   std::size_t compactNow() {
     // oaklint: allow(R5, serializes whole evacuation runs against each
     // other only; never taken under an EBR guard or on any read path)
@@ -887,7 +851,7 @@ class OakCoreMap {
     for (const auto& b : occ) {
       if (victims.size() >= kMaxVictimsPerRun) break;
       if (b.pinned || b.evacuating || b.current) continue;
-      if (static_cast<double>(b.liveBytes) > compactionOccupancy_ * blockBytes) {
+      if (static_cast<double>(b.liveBytes) > cfg_.mem.compactionOccupancy * blockBytes) {
         break;  // sorted ascending: nothing sparser follows
       }
       if (alloc.beginEvacuate(b.block)) victims.push_back(b.block);
@@ -1379,11 +1343,8 @@ class OakCoreMap {
   /// chunk by minKey.  A saturated queue falls back to the seed's inline
   /// path (unless configured to drop).
   void scheduleRebalance(ChunkT* c) {
-    const bool queued = maintSvc_->submit(
-        this, toVec(c->minKey()), c->footprintBytes(),
-        [](void* owner, const ByteVec& key) {
-          static_cast<OakCoreMap*>(owner)->backgroundRebalance(key);
-        });
+    const bool queued = maintSvc_->submit(this, toVec(c->minKey()),
+                                          c->footprintBytes(), &rebalanceJob);
     if (queued) {
       stats_.incCounter(obs::Counter::MaintQueued);
     } else if (cfg_.maintenance.inlineFallback) {
@@ -1396,6 +1357,9 @@ class OakCoreMap {
   /// chunk may be retired (by a racing writer's kFull rebalance) before the
   /// worker runs: re-locate under an epoch guard, skip if already
   /// redirected, and re-check the policy against the chunk's current shape.
+  static void rebalanceJob(void* owner, const ByteVec& key) {
+    static_cast<OakCoreMap*>(owner)->backgroundRebalance(key);
+  }
   void backgroundRebalance(const ByteVec& key) {
     sync::Ebr::Guard g(ebr_);
     ChunkT* c = locateChunk(asBytes(key));
@@ -1410,10 +1374,7 @@ class OakCoreMap {
       stats_.incCounter(obs::Counter::MaintExecuted);
     } catch (const std::bad_alloc&) {
       try {
-        maintSvc_->submit(this, ByteVec(key), c->footprintBytes(),
-                          [](void* owner, const ByteVec& k) {
-                            static_cast<OakCoreMap*>(owner)->backgroundRebalance(k);
-                          });
+        maintSvc_->submit(this, ByteVec(key), c->footprintBytes(), &rebalanceJob);
       } catch (const std::bad_alloc&) {
         // Re-queueing failed under pressure; the next insert re-triggers.
       }
@@ -1634,9 +1595,8 @@ class OakCoreMap {
 
   /// Amortized version-GC trigger, called from update wrappers AFTER their
   /// EBR guard is released.  With a maintenance pool the collection is
-  /// handed to a worker (deduped by a self-owned flag — the service's
-  /// (owner,key) dedupe also covers rebalance jobs, so a collision there
-  /// must not strand the flag); inline otherwise.
+  /// handed to a worker (deduped by a self-owned flag, which the job clears
+  /// when it runs); inline otherwise.
   void maybeCollectVersions() {
     if ((vgcTick_.fetch_add(1, std::memory_order_relaxed) & 1023u) != 0) return;
     {
@@ -1649,14 +1609,14 @@ class OakCoreMap {
     }
     if (vgcJobQueued_.exchange(true, std::memory_order_acq_rel)) return;
     const bool queued = maintSvc_->submit(
-        this, ByteVec{std::byte{0}}, 4096, [](void* owner, const ByteVec&) {
+        this, ByteVec{}, 4096, [](void* owner, const ByteVec&) {
           auto* self = static_cast<OakCoreMap*>(owner);
           self->vgcJobQueued_.store(false, std::memory_order_release);
           self->collectVersionsNow();
         });
     if (!queued) {
-      // Saturated queue or deduped against a same-key job: run inline so
-      // the backlog cannot wedge behind a stuck flag.
+      // Saturated queue: run inline so the backlog cannot wedge behind a
+      // stuck flag.
       vgcJobQueued_.store(false, std::memory_order_release);
       collectVersionsNow();
     }
@@ -1751,7 +1711,7 @@ class OakCoreMap {
   /// occupancy is only worth it when whole arenas of slack exist — then the
   /// version-GC job's dedupe-flag pattern.
   void maybeEvacuate() {
-    if (!compactionEnabled_) return;
+    if (!cfg_.mem.compaction) return;
     if ((evacTick_.fetch_add(1, std::memory_order_relaxed) & 4095u) != 0) return;
     const std::size_t blockBytes = pool_.blockBytes();
     const std::size_t footprint = mm_.footprintBytes();
@@ -1764,7 +1724,7 @@ class OakCoreMap {
     }
     if (evacJobQueued_.exchange(true, std::memory_order_acq_rel)) return;
     const bool queued = maintSvc_->submit(
-        this, ByteVec{std::byte{2}}, 1u << 20, [](void* owner, const ByteVec&) {
+        this, ByteVec{}, 1u << 20, [](void* owner, const ByteVec&) {
           auto* self = static_cast<OakCoreMap*>(owner);
           self->evacJobQueued_.store(false, std::memory_order_release);
           self->compactNow();
@@ -1806,8 +1766,6 @@ class OakCoreMap {
   Mutex compactMu_;
   std::atomic<std::uint32_t> evacTick_{0};
   std::atomic<bool> evacJobQueued_{false};
-  bool compactionEnabled_ = false;
-  double compactionOccupancy_ = 0.25;
 
   friend class AscendIter;
   friend class DescendIter;

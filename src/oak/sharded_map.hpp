@@ -117,6 +117,11 @@ class ShardedOakCoreMap {
 
  public:
   using Config = ShardedOakConfig;
+  /// Online shard management never splits past this many shards.
+  static constexpr std::size_t kMaxShards = 64;
+  /// With autoShardManage, each thread submits a hot/cold check every this
+  /// many of its operations.
+  static constexpr std::uint64_t kManageCheckOps = 1 << 16;
   using KeyedEntry = typename Core::KeyedEntry;
   using EntryView = typename Core::EntryView;
 
@@ -131,16 +136,16 @@ class ShardedOakCoreMap {
     // one manifest (which also records the shard boundaries).  The cores
     // run in memory and share one file-backed pool when no explicit pool
     // was injected.
-    durDir_ = shardCfg_.effectiveStorageDir();
+    durDir_ = shardCfg_.mem.storageDir;
     std::optional<dur::RecoveryPlan> plan;
-    if (durDir_.has_value()) {
-      std::filesystem::create_directories(*durDir_);
+    if (!durDir_.empty()) {
+      std::filesystem::create_directories(durDir_);
       if (shardCfg_.mem.pool == nullptr) {
         ownedPool_ = std::make_unique<mem::BlockPool>(
-            mem::BlockPool::Config{.storageDir = *durDir_ + "/arenas"});
+            mem::BlockPool::Config{.storageDir = durDir_ + "/arenas"});
         shardCfg_.mem.pool = ownedPool_.get();
       }
-      plan = dur::planRecovery(*durDir_);
+      plan = dur::planRecovery(durDir_);
       if (plan->haveManifest && !plan->shardBounds.empty()) {
         // The manifest's boundaries are the crash-time layout: rebuilding
         // under them keeps each shard's checkpoint slice in its owner and
@@ -149,40 +154,20 @@ class ShardedOakCoreMap {
       }
     }
     // One maintenance service for every shard (and for our own
-    // shard-management jobs): adopt the caller's, or own a pool when the
-    // config (or OAK_MAINT_THREADS) asks for workers.
-    svc_ = shardCfg_.maintenance.service;
-    if (svc_ == nullptr) {
-      const unsigned t = shardCfg_.maintenance.effectiveThreads();
-      if (t > 0) {
-        ownedSvc_ = std::make_unique<maint::MaintenanceService>(
-            t, shardCfg_.maintenance.rateLimitBytesPerSec,
-            shardCfg_.maintenance.queueDepth);
-        svc_ = ownedSvc_.get();
-      }
+    // shard-management jobs), when the config asks for workers.
+    if (shardCfg_.maintenance.threads > 0) {
+      svc_ = std::make_unique<maint::MaintenanceService>(
+          shardCfg_.maintenance.threads, shardCfg_.maintenance.rateLimitBytesPerSec,
+          shardCfg_.maintenance.queueDepth);
     }
-    shardCfg_.maintenance.service = svc_;
-    // One snapshot domain shared by every shard (adopt the caller's when
-    // injected): a merged cross-shard scan then pins a single read version
-    // that is consistent across the whole key space, and writers on any
-    // shard stamp against the same clock.
-    snapDomain_ = shardCfg_.snapshotDomain;
-    if (snapDomain_ == nullptr) {
-      ownedSnapDomain_ = std::make_unique<SnapshotDomain>();
-      snapDomain_ = ownedSnapDomain_.get();
-    }
-    shardCfg_.snapshotDomain = snapDomain_;
     autoManage_ = shardCfg_.maintenance.autoShardManage;
-    checkOps_ = shardCfg_.maintenance.manageCheckOps < 1
-                    ? 1
-                    : shardCfg_.maintenance.manageCheckOps;
     gate_ = std::make_unique<GateSlot[]>(kMaxThreads);
     opTick_ = std::make_unique<OpTick[]>(kMaxThreads);
 
     auto t0 = std::make_unique<Table>(ShardRouter<Compare>(std::move(layout), cmp_));
     t0->cores.reserve(t0->router.shards());
     for (std::size_t i = 0; i < t0->router.shards(); ++i) {
-      t0->cores.push_back(std::make_shared<Core>(shardCfg_, cmp_));
+      t0->cores.push_back(makeCore());
     }
     {
       MutexLock lk(mgmtMu_);
@@ -349,7 +334,7 @@ class ShardedOakCoreMap {
         // ONE pin for all shards: the merged scan observes a single version
         // consistent across the whole key space; per-shard iterators reuse
         // it through opts.snapshotVersion instead of pinning their own.
-        snap_ = Snapshot(*m.snapDomain_);
+        snap_ = Snapshot(m.snapDomain_);
         opts.snapshotVersion = snap_.version();
       }
       snapV_ = opts.isSnapshot() ? opts.snapshotVersion : 0;
@@ -445,7 +430,7 @@ class ShardedOakCoreMap {
         : map_(&m) {
       if (opts.isSnapshot() && opts.snapshotVersion == 0) {
         // Same single-pin protocol as the merged AscendIter.
-        snap_ = Snapshot(*m.snapDomain_);
+        snap_ = Snapshot(m.snapDomain_);
         opts.snapshotVersion = snap_.version();
       }
       snapV_ = opts.isSnapshot() ? opts.snapshotVersion : 0;
@@ -578,7 +563,7 @@ class ShardedOakCoreMap {
   maint::MaintenanceStats maintenanceStats() const {
     return svc_ != nullptr ? svc_->stats() : maint::MaintenanceStats{};
   }
-  maint::MaintenanceService* maintenanceService() noexcept { return svc_; }
+  maint::MaintenanceService* maintenanceService() noexcept { return svc_.get(); }
 
   /// Evacuates sparse arenas in every shard (core_map.hpp compactNow);
   /// returns the total arenas retired to the pool.
@@ -591,10 +576,10 @@ class ShardedOakCoreMap {
 
   // ====================================================== snapshots ==
   /// The version clock + pin table every shard stamps against.
-  SnapshotDomain& snapshotDomain() noexcept { return *snapDomain_; }
+  SnapshotDomain& snapshotDomain() noexcept { return snapDomain_; }
   /// Pins the current map state; scans opened with
   /// `ScanOptions::snapshot()` pin their own version automatically.
-  Snapshot openSnapshot() { return Snapshot(*snapDomain_); }
+  Snapshot openSnapshot() { return Snapshot(snapDomain_); }
   /// Drains every shard's version-GC feed once (tests / quiescent points).
   /// Returns the number of version-chain nodes and tombstones retired.
   std::uint64_t collectVersionsNow() {
@@ -615,7 +600,7 @@ class ShardedOakCoreMap {
   /// also records the current shard boundaries.  Returns pairs written
   /// (0 on in-memory maps).  Concurrent mutations proceed (only the
   /// WAL-rotation instant is serialized with appends).  The auto-trigger
-  /// (OAK_WAL_BYTES) routes here through the maintenance service.
+  /// (DurConfig::walBytes) routes here through the maintenance service.
   std::uint64_t checkpointNow() {
     if (wal_ == nullptr) return 0;
     MutexLock lk(cpMu_);
@@ -626,10 +611,10 @@ class ShardedOakCoreMap {
     // replays on top.  (§12.3 has the full argument.)
     std::optional<Snapshot> snap;
     const std::uint64_t newWalSeq =
-        wal_->rotate([&] { snap.emplace(*snapDomain_); });
+        wal_->rotate([&] { snap.emplace(snapDomain_); });
     const std::uint64_t v = snap->version();
     const std::uint64_t newCpSeq = std::max(cpSeq_, prevCpSeq_) + 1;
-    dur::CheckpointWriter w(*durDir_, newCpSeq, v);
+    dur::CheckpointWriter w(durDir_, newCpSeq, v);
     for (auto it = ascend(std::nullopt, std::nullopt,
                           ScanOptions::snapshotAt(v));
          it.valid(); it.next()) {
@@ -651,8 +636,8 @@ class ShardedOakCoreMap {
     }
     m.prevCpSeq = cpSeq_;
     m.prevWalStart = walStartSeq_;
-    m.store(*durDir_);
-    dur::purgeObsolete(*durDir_, m);
+    m.store(durDir_);
+    dur::purgeObsolete(durDir_, m);
     cpSeq_ = newCpSeq;
     walStartSeq_ = newWalSeq;
     prevCpSeq_ = m.prevCpSeq;
@@ -866,7 +851,7 @@ class ShardedOakCoreMap {
     t->version = tables_.empty()
                      ? 1
                      : table_.load(std::memory_order_relaxed)->version + 1;
-    t->born = snapDomain_->now();
+    t->born = snapDomain_.now();
     // Raise the history flag BEFORE the new table becomes reachable: a
     // snapshot scan that hazard-pins the new table and then loads the flag
     // (both seq_cst) is therefore guaranteed to see it raised and divert to
@@ -922,7 +907,7 @@ class ShardedOakCoreMap {
         if (!seen) zombies_.push_back(c);
       }
     }
-    const std::uint64_t minPin = snapDomain_->minPinned();
+    const std::uint64_t minPin = snapDomain_.minPinned();
     std::size_t freeUpTo = 0;  // exclusive end of the freeable prefix
     while (freeUpTo + 1 < tables_.size() &&
            tables_[freeUpTo + 1]->born <= minPin) {
@@ -1042,7 +1027,7 @@ class ShardedOakCoreMap {
     // write-quiescent, so plain reads + puts are a consistent snapshot.
     std::shared_ptr<Core> fresh;
     try {
-      fresh = std::make_shared<Core>(shardCfg_, cmp_);
+      fresh = makeCore();
       ByteVec val;
       for (auto it = src->ascend(mid, hi); it.valid(); it.next()) {
         auto e = it.entry();
@@ -1162,7 +1147,7 @@ class ShardedOakCoreMap {
     for (std::size_t i = 1; i < n; ++i) {
       if (load[i] > load[hot]) hot = i;
     }
-    if (n < mc.maxShards &&
+    if (n < kMaxShards &&
         static_cast<double>(load[hot]) * static_cast<double>(n) >
             mc.splitLoadFactor * static_cast<double>(total) &&
         t->cores[hot]->chunkCount() >= mc.minSplitChunks) {
@@ -1224,14 +1209,14 @@ class ShardedOakCoreMap {
   /// configured budget, hand a checkpoint job to the maintenance service
   /// (deduped by a self-owned flag) or run inline without one.
   void maybeCheckpoint() {
-    if (wal_->bytesSinceRotate() < walBytesBudget_) return;
+    if (wal_->bytesSinceRotate() < shardCfg_.dur.walBytes) return;
     if (svc_ == nullptr) {
       checkpointNow();
       return;
     }
     if (cpJobQueued_.exchange(true, std::memory_order_acq_rel)) return;
     const bool queued = svc_->submit(
-        this, ByteVec{std::byte{1}}, 1u << 20, [](void* owner, const ByteVec&) {
+        this, ByteVec{}, 1u << 20, [](void* owner, const ByteVec&) {
           auto* self = static_cast<ShardedOakCoreMap*>(owner);
           self->cpJobQueued_.store(false, std::memory_order_release);
           self->checkpointNow();
@@ -1251,7 +1236,7 @@ class ShardedOakCoreMap {
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t replayed = 0;
     if (plan.cpSeq != 0) {
-      auto reader = dur::CheckpointReader::open(*durDir_, plan.cpSeq);
+      auto reader = dur::CheckpointReader::open(durDir_, plan.cpSeq);
       if (reader.has_value()) {
         Table* t = table_.load(std::memory_order_acquire);
         ByteSpan pk, pv;
@@ -1274,7 +1259,7 @@ class ShardedOakCoreMap {
     }
     for (const std::uint64_t seq : plan.walSegments) {
       const auto st = dur::replayWalSegment(
-          dur::walSegmentPath(*durDir_, seq),
+          dur::walSegmentPath(durDir_, seq),
           [&](std::uint8_t type, ByteSpan k, ByteSpan v) {
             if (type == dur::kWalPut) {
               put(k, v);
@@ -1291,10 +1276,9 @@ class ShardedOakCoreMap {
       walStartSeq_ =
           plan.walSegments.empty() ? plan.nextWalSeq : plan.walSegments.front();
     }
-    walBytesBudget_ = shardCfg_.effectiveWalBytes();
     wal_ = std::make_unique<dur::Wal>(
-        *durDir_, plan.nextWalSeq,
-        dur::Wal::Options{.policy = shardCfg_.effectiveFsyncPolicy(),
+        durDir_, plan.nextWalSeq,
+        dur::Wal::Options{.policy = shardCfg_.dur.fsyncPolicy,
                           .intervalMs = shardCfg_.dur.fsyncIntervalMs});
     if (!plan.haveManifest) {
       // First open: commit an empty-checkpoint manifest so a crash before
@@ -1307,7 +1291,7 @@ class ShardedOakCoreMap {
         MutexLock mlk(mgmtMu_);
         m.shardBounds = boundsOf(*table_.load(std::memory_order_acquire));
       }
-      m.store(*durDir_);
+      m.store(durDir_);
     }
     recoveryMs_.store(
         static_cast<std::uint64_t>(
@@ -1317,14 +1301,19 @@ class ShardedOakCoreMap {
         std::memory_order_relaxed);
   }
 
+  /// A shard core running on the shared service and snapshot domain.
+  std::shared_ptr<Core> makeCore() {
+    return std::make_shared<Core>(shardCfg_, cmp_, svc_.get(), snapDomain_);
+  }
+
   void noteOp() {
     if (!autoManage_) return;
     OpTick& slot = opTick_[ThreadRegistry::id()];
     const std::uint64_t k = slot.n.load(std::memory_order_relaxed) + 1;
     slot.n.store(k, std::memory_order_relaxed);
-    if (k % checkOps_ != 0) return;
+    if (k % kManageCheckOps != 0) return;
     if (svc_ != nullptr) {
-      // Deduped like any chunk job; the empty key tags "shard management".
+      // Deduped per (owner, fn): at most one queued check per map.
       svc_->submit(this, ByteVec{}, 0, [](void* self, const ByteVec&) {
         static_cast<ShardedOakCoreMap*>(self)->manageShardsOnce();
       });
@@ -1334,19 +1323,19 @@ class ShardedOakCoreMap {
   }
 
   // Declaration order is destruction-critical: tables_/zombies_ (the
-  // cores) must be destroyed before ownedSvc_ — each core's destructor
+  // cores) must be destroyed before svc_ — each core's destructor
   // detaches from the service.
   Compare cmp_;
-  OakConfig shardCfg_;  // per-core config with the shared service injected
+  OakConfig shardCfg_;  // per-core config (the durable pool injected)
   /// File-backed arena substrate for durable maps (declared before the
   /// tables so every core is destroyed before its arenas unmap).
   std::unique_ptr<mem::BlockPool> ownedPool_;
-  std::unique_ptr<maint::MaintenanceService> ownedSvc_;
-  maint::MaintenanceService* svc_ = nullptr;
-  // Likewise declared before the cores: a shard's version GC reads the
-  // domain's pin floor, so the shared SnapshotDomain must outlive them.
-  std::unique_ptr<SnapshotDomain> ownedSnapDomain_;
-  SnapshotDomain* snapDomain_ = nullptr;
+  std::unique_ptr<maint::MaintenanceService> svc_;  // null = inline maintenance
+  // One snapshot domain for every shard: a merged cross-shard scan pins a
+  // single read version, and writers on any shard stamp against the same
+  // clock.  Likewise declared before the cores: a shard's version GC reads
+  // the domain's pin floor, so the domain must outlive them.
+  SnapshotDomain snapDomain_;
 
   mutable Mutex mgmtMu_;
   std::vector<std::unique_ptr<Table>> tables_
@@ -1361,15 +1350,13 @@ class ShardedOakCoreMap {
   mutable std::unique_ptr<GateSlot[]> gate_;
 
   bool autoManage_ = false;
-  std::uint64_t checkOps_ = 1 << 16;
   std::unique_ptr<OpTick[]> opTick_;
   std::map<const void*, std::uint64_t> lastOps_;  // op counts at last check
 
   // Durability (src/dur): all null/zero for in-memory maps.  One WAL and
   // one checkpoint stream for the whole map, whatever the shard count.
-  std::optional<std::string> durDir_;
+  std::string durDir_;  // empty = in-memory
   std::unique_ptr<dur::Wal> wal_;  // created after recovery replay
-  std::size_t walBytesBudget_ = 64u << 20;
   Mutex cpMu_;  // serializes checkpoints and the manifest generation state
   std::uint64_t cpSeq_ OAK_GUARDED_BY(cpMu_) = 0;
   std::uint64_t walStartSeq_ OAK_GUARDED_BY(cpMu_) = 1;

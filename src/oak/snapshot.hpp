@@ -46,9 +46,9 @@
 namespace oak {
 
 /// Shared version clock + snapshot pin table.  One domain per OakCoreMap, or
-/// one shared across every shard of a ShardedOakCoreMap (injected through
-/// OakConfig::snapshotDomain, mirroring MaintenanceConfig::service) so the
-/// merged cross-shard scan reads one consistent version.
+/// one shared across every shard of a ShardedOakCoreMap (handed to each
+/// shard's constructor) so the merged cross-shard scan reads one consistent
+/// version.
 class SnapshotDomain {
  public:
   /// minPinned() when no snapshot is open: every version is reclaimable.

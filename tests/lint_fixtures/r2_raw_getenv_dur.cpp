@@ -1,9 +1,8 @@
-// oaklint fixture — R2, durability flavor: the src/dur knobs
-// (OAK_STORAGE_DIR / OAK_FSYNC_POLICY / OAK_WAL_BYTES) resolve through
-// OakConfig's effective*() accessors, which call oak::env.  Reading them
-// with raw std::getenv — the obvious shortcut when wiring a WAL or
-// recovery path — bypasses the explicit > env > default precedence rule
-// and the single audit point.
+// oaklint fixture — R2, durability flavor: the durability knobs (storage
+// directory, fsync policy, WAL checkpoint trigger) come from MemConfig and
+// DurConfig alone; no environment variable feeds them.  Reading one with
+// raw std::getenv — the obvious shortcut when wiring a WAL or recovery
+// path — bypasses the oak::env gateway and its single audit point.
 //
 // oaklint-expect: R2
 #include <cstdlib>

@@ -100,6 +100,25 @@ TEST(MaintService, DistinctOwnersDoNotCoalesce) {
   EXPECT_EQ(b.runs.load(), 1);
 }
 
+TEST(MaintService, SameOwnerAndKeyWithDifferentFnDoNotCoalesce) {
+  // A chunk's rebalance job is keyed by its minKey, which can equal the key
+  // of another job kind (a per-map evacuation or version-GC job).  The two
+  // must both run: coalescing one onto the other would leave the dropped
+  // job's queued-flag set and stop that kind of work for the map's life.
+  MaintenanceService svc(/*threads=*/1);
+  svc.pause();
+  JobLog log;
+  const MaintenanceService::JobFn otherKind = [](void* owner, const ByteVec& key) {
+    JobLog::run(owner, key);
+  };
+  EXPECT_TRUE(svc.submit(&log, keyOf(2), 0, &JobLog::run));
+  EXPECT_TRUE(svc.submit(&log, keyOf(2), 0, otherKind));
+  EXPECT_EQ(svc.stats().pending, 2u);
+  EXPECT_EQ(svc.stats().coalesced, 0u);
+  svc.drain();
+  EXPECT_EQ(log.keyedRuns[2].load(), 2);
+}
+
 TEST(MaintService, QueueDepthRejectsAndCountsRejections) {
   MaintenanceService svc(/*threads=*/0, /*rateLimitBytesPerSec=*/0,
                          /*queueDepth=*/2);
@@ -574,6 +593,40 @@ TEST(MaintSharded, AutoManageSplitsHotShard) {
   EXPECT_EQ(map.shardCount(), 3u);
   EXPECT_GE(map.stats().registry.counter(obs::Counter::ShardSplit), 1u);
   EXPECT_EQ(map.sizeSlow(), 2000u);
+}
+
+TEST(MaintSharded, AutoShardManageSplitsHotShardFromPointOps) {
+  // The automatic trigger: every kManageCheckOps point ops a thread submits
+  // one hot/cold check to the shared service.  Load detection reads the
+  // obs op counters, so it needs OAK_STATS.
+  if (!obs::StatsRegistry::compiled()) GTEST_SKIP() << "needs OAK_STATS";
+  using Map = ShardedOakCoreMap<>;
+  // All load lands in shard 0; a split factor below 2 lets a 100% share of
+  // a 2-shard map clear the threshold.
+  auto cfg =
+      ShardedOakConfig{}
+          .withShards(2)
+          .withLayout(ShardLayout::at({keyOf(1u << 20)}))
+          .withShard(OakConfig{}.withChunkCapacity(16).withMaintenance(
+              MaintenanceConfig{}.withThreads(1).withAutoShardManage(true).withSplitLoadFactor(
+                  1.5)));
+  Map map(std::move(cfg));
+  constexpr std::uint64_t kKeys = 2000;
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    map.put(asBytes(keyOf(i)), asBytes(valOf(i)));
+  }
+  // Fill the check window with reads; one check fires, a second never does.
+  for (std::uint64_t i = kKeys; i < Map::kManageCheckOps + 100; ++i) {
+    EXPECT_TRUE(map.get(asBytes(keyOf(i % kKeys))).has_value());
+  }
+  map.drainMaintenance();
+  EXPECT_EQ(map.stats().shards, 3u) << "automatic check did not split the hot shard";
+
+  std::uint64_t expect = 0;
+  for (auto it = map.ascend(); it.valid(); it.next(), ++expect) {
+    ASSERT_EQ(loadU64BE(it.entry().key.data()), expect);
+  }
+  EXPECT_EQ(expect, kKeys);
 }
 
 TEST(MaintSharded, AutoManageMergesColdShards) {

@@ -219,7 +219,7 @@ TEST(OakRelocation, EvacuationReclaimsSparseArenas) {
   EXPECT_TRUE(rep.ok);
 }
 
-// The background trigger: with OAK_COMPACTION enabled via config, churn
+// The background trigger: with MemConfig::compaction enabled, churn
 // alone must schedule evacuation through the maintenance service.
 TEST(OakRelocation, BackgroundTriggerEvacuatesWithoutExplicitCalls) {
   mem::BlockPool pool({.blockBytes = 64u << 10, .budgetBytes = SIZE_MAX});

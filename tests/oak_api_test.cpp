@@ -5,8 +5,11 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "oak/map.hpp"
@@ -361,6 +364,45 @@ TEST(OakApi, BuilderComposesNestedGroups) {
   EXPECT_EQ(cfg.effectiveReclaim(), ValueReclaim::Generational);
   EXPECT_EQ(cfg.maintenance.effectiveThreads(), 0u);
   EXPECT_EQ(cfg.maintenance.queueDepth, 7u);
+}
+
+TEST(OakApi, ConfigIgnoresTheEnvironment) {
+  // Every knob resolves as explicit config > compiled default: none of
+  // these variables may reconfigure a map that leaves its fields at their
+  // defaults (a stray OAK_STORAGE_DIR must not make it durable).
+  const std::string dir = ::testing::TempDir() + "oak_env_ignored";
+  const std::pair<const char*, std::string> vars[] = {
+      {"OAK_MAGAZINES", "0"},           {"OAK_COMPACTION", "1"},
+      {"OAK_COMPACTION_OCCUPANCY", "90"}, {"OAK_STORAGE_DIR", dir},
+      {"OAK_FSYNC_POLICY", "every-commit"}, {"OAK_WAL_BYTES", "4096"},
+      {"OAK_MAINT_THREADS", "2"}};
+  struct Unset {
+    const decltype(vars)& v;
+    ~Unset() {
+      for (const auto& [name, value] : v) ::unsetenv(name);
+    }
+  } unset{vars};
+  for (const auto& [name, value] : vars) ::setenv(name, value.c_str(), 1);
+
+  const OakConfig cfg;
+  EXPECT_FALSE(cfg.effectiveCompaction());
+  EXPECT_TRUE(cfg.effectiveMagazines());
+  EXPECT_EQ(cfg.effectiveFsyncPolicy(), dur::FsyncPolicy::Interval);
+  EXPECT_EQ(cfg.effectiveWalBytes(), std::size_t{64} << 20);
+  EXPECT_EQ(cfg.maintenance.effectiveThreads(), 0u);
+
+  {
+    Map m{OakConfig{}};
+    m.put("k", "v");
+    EXPECT_FALSE(m.durable());
+    EXPECT_EQ(m.maintenanceStats().threads, 0u);
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  std::filesystem::remove_all(dir);
+
+  OakCoreMap<> core;
+  EXPECT_EQ(core.maintenanceStats().threads, 0u);
+  EXPECT_TRUE(core.memoryManager().allocator().magazinesEnabled());
 }
 
 TEST(OakApi, MaintenanceFacadePassthroughs) {

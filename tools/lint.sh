@@ -49,6 +49,14 @@ run_rule "raw-getenv" \
   "route environment reads through oak::env (src/common/env.hpp)." \
   'src/' 'tests/' 'bench/' ':!src/common/env.hpp'
 
+# Map knobs come from the config alone: library code under src/ reads no
+# environment variable (the gateway, the fault schedule and the bench
+# harness excepted).  No-toolchain fallback for oaklint rule R8.
+run_rule "env-read" \
+  '(^|[^A-Za-z0-9_])env::[A-Za-z0-9_]+[[:space:]]*\(' \
+  "take the knob from the config (OakConfig and its groups), not the environment." \
+  'src/' ':!src/common/env.hpp' ':!src/common/fault.cpp' ':!src/benchcore/'
+
 # SpinLock holds must use oak::SpinGuard: std::lock_guard<SpinLock> carries
 # no capability annotations, so Clang's analysis cannot see the acquire.
 run_rule "spinlock-guard" \

@@ -22,6 +22,9 @@ oaklint enforces the *protocol* rules layered on top of it:
       bypasses the allocator's liveness accounting and can name bytes that
       have since moved (detail::headerRef is the one blessed helper:
       pinned-domain value headers never relocate)
+  R8  no oak::env read in map library code (src/ outside common/env.hpp,
+      common/fault.cpp and benchcore/) — every map knob comes from its
+      config, so an environment fallback is a hidden second config source
 
 Engines:
   * libclang — AST-accurate; used when python3-clang is importable
@@ -56,6 +59,7 @@ RULES = {
     "R5": "blocking call inside an EBR guard",
     "R6": "raw version-stamp manipulation outside the MVCC layer",
     "R7": "packed-ref materialization outside the mem layer",
+    "R8": "environment read in map library code",
 }
 
 DEFAULT_ROOTS = ["src", "tests", "bench"]
@@ -67,9 +71,15 @@ MEM_LAYER = os.path.join("src", "mem") + os.sep
 # The map core owns the version clock and the per-value chains: R6 does not
 # apply to src/oak/ (or src/mem/, which stores the stamped headers).
 OAK_LAYER = os.path.join("src", "oak") + os.sep
+# R8: the library paths allowed to read the environment — the gateway
+# itself, the checked-build fault schedule (OAK_FAULT_SPEC) and the bench
+# harness.  Fixtures stand in for library code.
+LIBRARY_ROOT = "src" + os.sep
+ENV_READERS = (ENV_GATEWAY, os.path.join("src", "common", "fault.cpp"),
+               os.path.join("src", "benchcore") + os.sep)
 
-ALLOW_RE = re.compile(r"oaklint:\s*allow\((R[1-7])\b")
-EXPECT_RE = re.compile(r"oaklint-expect:\s*(R[1-7])\b")
+ALLOW_RE = re.compile(r"oaklint:\s*allow\((R[1-8])\b")
+EXPECT_RE = re.compile(r"oaklint-expect:\s*(R[1-8])\b")
 
 SOURCE_EXTS = (".cpp", ".hpp", ".cc", ".hh", ".cxx", ".h")
 
@@ -133,6 +143,14 @@ def is_env_gateway(path):
     return os.path.relpath(path, REPO) == ENV_GATEWAY
 
 
+def is_env_restricted(path):
+    rel = os.path.relpath(path, REPO)
+    if rel.startswith(FIXTURE_DIR):
+        return True
+    return rel.startswith(LIBRARY_ROOT) and \
+        not any(rel == p or rel.startswith(p) for p in ENV_READERS)
+
+
 def is_version_layer(path):
     rel = os.path.relpath(path, REPO)
     return rel.startswith(MEM_LAYER) or rel.startswith(OAK_LAYER)
@@ -165,6 +183,8 @@ BLOCKING_RE = re.compile(
     r"\bsleep_for\s*\(|\bsleep_until\s*\(|(?:\.|->)join\s*\(\s*\))"
 )
 GETENV_RE = re.compile(r"\bgetenv\s*\(")
+ENV_READ_RE = re.compile(r"\benv::\w+\s*\(")
+ENV_READ_DETAIL = "map knobs come from the config only — add a config field, not an env fallback"
 VIEW_STORE_RE = re.compile(r"(?:this->)?\w+_\s*=\s*[^=].*(?:(?:\.|->)translate\s*\(|\bOakRBuffer\b|\bValueRef\b)")
 VIEW_RETURN_RE = re.compile(r"\breturn\b.*(?:\.|->)translate\s*\(")
 REF_ARITH_RE = re.compile(
@@ -230,6 +250,7 @@ def textual_scan_file(path):
     guards = []  # (kind, depth-at-declaration)
     mem_layer = is_mem_layer(path)
     env_gateway = is_env_gateway(path)
+    env_restricted = is_env_restricted(path)
     version_layer = is_version_layer(path)
 
     def active(kind):
@@ -253,6 +274,8 @@ def textual_scan_file(path):
 
         if not env_gateway and GETENV_RE.search(code):
             flag("R2", "route environment reads through oak::env")
+        if env_restricted and ENV_READ_RE.search(code):
+            flag("R8", ENV_READ_DETAIL)
         if not mem_layer and REF_ARITH_RE.search(code) and \
                 not ASSERTION_RE.search(code):
             flag("R4", "dereference refs via MemoryManager::translate")
@@ -459,17 +482,21 @@ def libclang_scan_file_scoped(path, args_db):
                 os.path.abspath(top.location.file.name) == os.path.abspath(path):
             visit(top, 0, 0)
 
-    # R7 is a naming-boundary rule, not a dataflow property — the lexical
-    # check is exact, so both engines share it.
-    if not mem_layer:
-        in_block = False
-        for lineno, rawline in enumerate(lines, 1):
-            code, in_block = strip_code(rawline, in_block)
-            if REF_MAKE_RE.search(code) and "R7" not in allowed_rules(lines, lineno):
-                findings.append(Finding(
-                    path, lineno, "R7",
-                    "only the allocator mints refs — use the slice refs it"
-                    " returned (or detail::headerRef for value headers)"))
+    # R7 and R8 are naming-boundary rules, not dataflow properties — the
+    # lexical checks are exact, so both engines share them.
+    env_restricted = is_env_restricted(path)
+    in_block = False
+    for lineno, rawline in enumerate(lines, 1):
+        code, in_block = strip_code(rawline, in_block)
+        if not mem_layer and REF_MAKE_RE.search(code) and \
+                "R7" not in allowed_rules(lines, lineno):
+            findings.append(Finding(
+                path, lineno, "R7",
+                "only the allocator mints refs — use the slice refs it"
+                " returned (or detail::headerRef for value headers)"))
+        if env_restricted and ENV_READ_RE.search(code) and \
+                "R8" not in allowed_rules(lines, lineno):
+            findings.append(Finding(path, lineno, "R8", ENV_READ_DETAIL))
     return findings
 
 
