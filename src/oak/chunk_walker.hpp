@@ -120,15 +120,14 @@ class ChunkWalker {
   static Report validateShard(Sharded& m, std::size_t i) {
     Report rep = validate(m.shard(i));
     // Lower-boundary containment via the shard's own ordered extreme — but
-    // only on a structurally sound chain: firstEntry() copies key bytes,
-    // and if the chain check above flagged a freed slice that copy would
+    // only on a structurally sound chain: the comparison reads key bytes,
+    // and if the chain check above flagged a freed slice that read would
     // fault (checked builds abort) instead of reporting.
-    if (!rep.ok) return rep;
-    const auto& router = m.router();
-    if (auto first = m.shard(i).firstEntry(); first && i > 0) {
-      if (m.shard(i).comparator()(asBytes(first->key), router.boundary(i - 1)) < 0) {
-        rep.fail(format("shard %zu holds a key below its lower boundary", i));
-      }
+    if (!rep.ok || i == 0) return rep;
+    auto first = m.shard(i).ascend();
+    if (first.valid() &&
+        m.comparator()(first.entry().key, m.router().boundary(i - 1)) < 0) {
+      rep.fail(format("shard %zu holds a key below its lower boundary", i));
     }
     return rep;
   }

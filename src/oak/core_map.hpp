@@ -271,17 +271,22 @@ class OakCoreMap {
   /// is charged to the managed heap like the Java object it stands for.
   std::optional<ByteVec> getCopy(ByteSpan key) {
     obs::OpTimer t(stats_, obs::Op::GetCopy);
+    std::optional<ByteVec> out = copyValue(key);
+    if (out) metaHeap_.ephemeralObject(out->size() + cfg_.ephemeralViewBytes);
+    return out;
+  }
+
+  /// getCopy without the op count and the managed-heap charge: for internal
+  /// read-backs that are part of another operation (the front end's WAL
+  /// record of a compute's post-image).
+  std::optional<ByteVec> copyValue(ByteSpan key) {
     sync::Ebr::Guard g(ebr_);
     const std::uint64_t v = findValueRef(key);
     if (v == 0) return std::nullopt;
-    detail::ValueCell cell(mm_, detail::VRef{v});
     std::optional<ByteVec> out;
-    const bool ok = cell.read(
-        [&](ByteSpan s) {
-          metaHeap_.ephemeralObject(s.size() + cfg_.ephemeralViewBytes);
-          out.emplace(s.begin(), s.end());
-        },
-        &snapCtx_);
+    const bool ok = detail::ValueCell(mm_, detail::VRef{v})
+                        .read([&](ByteSpan s) { out.emplace(s.begin(), s.end()); },
+                              &snapCtx_);
     if (!ok) return std::nullopt;
     return out;
   }
@@ -294,48 +299,6 @@ class OakCoreMap {
     // help-stamped (see get()).
     return detail::ValueCell(mm_, detail::VRef{v})
         .read([](ByteSpan) {}, &snapCtx_);
-  }
-
-  // ==================================================== navigation queries
-  // ConcurrentNavigableMap-style ordered lookups.  Each returns the entry's
-  // key (copied — it identifies the entry) and a zero-copy value view.
-  struct KeyedEntry {
-    ByteVec key;
-    OakRBuffer value;
-  };
-
-  std::optional<KeyedEntry> firstEntry() {
-    AscendIter it = ascend();
-    return takeFirst(it);
-  }
-  std::optional<KeyedEntry> lastEntry() {
-    DescendIter it = descend();
-    return takeFirst(it);
-  }
-
-  /// Least entry with key >= probe.
-  std::optional<KeyedEntry> ceilingEntry(ByteSpan key) {
-    AscendIter it = ascend(toVec(key));
-    return takeFirst(it);
-  }
-  /// Least entry with key > probe.
-  std::optional<KeyedEntry> higherEntry(ByteSpan key) {
-    AscendIter it = ascend(toVec(key));
-    if (it.valid() && bytesEqual(it.entry().key, key)) it.next();
-    return takeFirst(it);
-  }
-  /// Greatest entry with key <= probe (probe + 0x00 is its exclusive
-  /// successor in byte order).
-  std::optional<KeyedEntry> floorEntry(ByteSpan key) {
-    ByteVec hi = toVec(key);
-    hi.push_back(std::byte{0});
-    DescendIter it = descend(std::nullopt, std::move(hi));
-    return takeFirst(it);
-  }
-  /// Greatest entry with key < probe.
-  std::optional<KeyedEntry> lowerEntry(ByteSpan key) {
-    DescendIter it = descend(std::nullopt, toVec(key));
-    return takeFirst(it);
   }
 
   /// JDK replace(K,V): rewrites the value iff the key is present.  Atomic.
@@ -459,36 +422,17 @@ class OakCoreMap {
     }
   };
 
-  /// Ascending iterator (§4.2).  Non-atomic; guarantees (1)-(3) of §4.2.
-  /// opts.stream reuses the caller-visible view object (paper's Stream
-  /// API) — the difference is modelled by ephemeral-churn charging.
-  /// opts.snapshotMode pins a read version V at construction: the scan then
-  /// observes exactly the map state at V (tombstones and chained versions
-  /// resolve through visibleAt/readAt).  opts.direction is ignored: the
-  /// direction is this type.
-  class AscendIter {
+ private:
+  /// What the two scan directions share: the snapshot pin (taken BEFORE
+  /// the epoch guard — a short mutex section must never block inside EBR),
+  /// the guard itself, the current entry, liveness under the scan's view,
+  /// and the ephemeral-object accounting of §2.2.  opts.stream reuses the
+  /// caller-visible view object (paper's Stream API); Set-style scans charge
+  /// a fresh view per returned entry.  opts.snapshotMode pins a read version
+  /// V at construction (unless opts.snapshotVersion already names one): the
+  /// scan then observes exactly the map state at V.
+  class IterBase {
    public:
-    AscendIter(OakCoreMap& m, std::optional<ByteVec> lo, std::optional<ByteVec> hi,
-               ScanOptions opts)
-        // Member order matters: the snapshot pin (a short mutex section)
-        // happens BEFORE guard_ pins an epoch — never block inside EBR.
-        : map_(&m),
-          snap_(opts.isSnapshot() && opts.snapshotVersion == 0
-                    ? Snapshot(*m.snapDomain_)
-                    : Snapshot{}),
-          snapV_(!opts.isSnapshot()        ? 0
-                 : opts.snapshotVersion != 0 ? opts.snapshotVersion
-                                             : snap_.version()),
-          guard_(m.ebr_),
-          hi_(std::move(hi)),
-          stream_(opts.stream) {
-      if (snap_.valid()) m.stats_.incCounter(obs::Counter::SnapshotOpened);
-      if (stream_) m.metaHeap_.ephemeralObject(m.cfg_.ephemeralViewBytes);
-      chunk_ = lo ? m.locateChunk(asBytes(*lo)) : m.firstChunk();
-      cur_ = lo ? chunk_->lowerBound(asBytes(*lo)) : chunk_->headEntry();
-      advanceToLive();
-    }
-
     bool valid() const noexcept { return chunk_ != nullptr; }
 
     /// The pinned read version (0 on non-snapshot scans).
@@ -499,6 +443,65 @@ class OakCoreMap {
       return EntryView{chunk_->keyAt(cur_),
                        detail::ValueCell(map_->mm_, detail::VRef{curVal_}),
                        snapV_};
+    }
+
+   protected:
+    IterBase(OakCoreMap& m, const ScanOptions& opts)
+        : map_(&m),
+          snap_(opts.isSnapshot() && opts.snapshotVersion == 0
+                    ? Snapshot(*m.snapDomain_)
+                    : Snapshot{}),
+          snapV_(!opts.isSnapshot()        ? 0
+                 : opts.snapshotVersion != 0 ? opts.snapshotVersion
+                                             : snap_.version()),
+          guard_(m.ebr_),
+          stream_(opts.stream) {
+      if (snap_.valid()) m.stats_.incCounter(obs::Counter::SnapshotOpened);
+      if (stream_) m.metaHeap_.ephemeralObject(m.cfg_.ephemeralViewBytes);
+    }
+
+    /// Liveness under the scan's view: at the pinned version for snapshot
+    /// scans, the current instant otherwise.  Live scans must skip
+    /// tombstones too: a removed key whose header is retained for older
+    /// pinned versions is still absent *now*.
+    bool entryLive(std::uint64_t v) const {
+      detail::ValueCell cell(map_->mm_, detail::VRef{v});
+      return snapV_ != 0 ? cell.visibleAt(snapV_)
+                         : cell.livenessProbe() == detail::Liveness::Live;
+    }
+
+    /// Makes entry e (value ref v) current and charges its view.
+    void yield(std::int32_t e, std::uint64_t v) {
+      cur_ = e;
+      curVal_ = v;
+      if (!stream_) map_->metaHeap_.ephemeralObject(map_->cfg_.ephemeralViewBytes);
+    }
+
+    OakCoreMap* map_;
+    Snapshot snap_;  ///< owned pin; empty when sharing the caller's pin
+    std::uint64_t snapV_ = 0;
+    sync::Ebr::Guard guard_;
+    ChunkT* chunk_ = nullptr;
+    std::int32_t cur_ = ChunkT::kNone;
+    std::uint64_t curVal_ = 0;
+    bool stream_;
+  };
+
+ public:
+  /// Ascending iterator (§4.2).  Non-atomic; guarantees (1)-(3) of §4.2.
+  /// opts.direction is ignored: the direction is this type.
+  class AscendIter : public IterBase {
+    using IterBase::chunk_;
+    using IterBase::cur_;
+    using IterBase::map_;
+
+   public:
+    AscendIter(OakCoreMap& m, std::optional<ByteVec> lo, std::optional<ByteVec> hi,
+               ScanOptions opts)
+        : IterBase(m, opts), hi_(std::move(hi)) {
+      chunk_ = lo ? m.locateChunk(asBytes(*lo)) : m.firstChunk();
+      cur_ = lo ? chunk_->lowerBound(asBytes(*lo)) : chunk_->headEntry();
+      advanceToLive();
     }
 
     void next() {
@@ -544,62 +547,33 @@ class OakCoreMap {
         }
         const std::uint64_t v =
             chunk_->entry(cur_).valRef.load(std::memory_order_acquire);
-        if (v != 0 && entryLive(v)) {
-          curVal_ = v;
+        if (v != 0 && this->entryLive(v)) {
           // Pull the successor's cache lines while the caller consumes this
           // entry (chunk-chain software prefetch).
           const std::int32_t nx =
               chunk_->entry(cur_).next.load(std::memory_order_acquire);
           if (nx != ChunkT::kNone) chunk_->prefetchEntry(nx);
-          // Set-style scans create a fresh ephemeral view per entry (§2.2).
-          if (!stream_) map_->metaHeap_.ephemeralObject(map_->cfg_.ephemeralViewBytes);
+          this->yield(cur_, v);
           return;
         }
         cur_ = chunk_->entry(cur_).next.load(std::memory_order_acquire);
       }
     }
 
-    /// Liveness under the scan's view: at the pinned version for snapshot
-    /// scans, the current instant otherwise.
-    bool entryLive(std::uint64_t v) const {
-      detail::ValueCell cell(map_->mm_, detail::VRef{v});
-      // Live scans must skip tombstones too: a removed key whose header is
-      // retained for older pinned versions is still absent *now*.
-      return snapV_ != 0 ? cell.visibleAt(snapV_)
-                         : cell.livenessProbe() == detail::Liveness::Live;
-    }
-
-    OakCoreMap* map_;
-    Snapshot snap_;  ///< owned pin; empty when sharing the caller's pin
-    std::uint64_t snapV_ = 0;
-    sync::Ebr::Guard guard_;
-    ChunkT* chunk_ = nullptr;
-    std::int32_t cur_ = ChunkT::kNone;
-    std::uint64_t curVal_ = 0;
     std::optional<ByteVec> hi_;
-    bool stream_;
   };
 
   /// Descending iterator (§4.2, Figure 2): walks each chunk's sorted prefix
   /// backwards, re-collecting the bypass runs onto a stack — no
   /// doubly-linked list and no per-key lookup.
-  class DescendIter {
+  class DescendIter : public IterBase {
+    using IterBase::chunk_;
+    using IterBase::map_;
+
    public:
     DescendIter(OakCoreMap& m, std::optional<ByteVec> lo, std::optional<ByteVec> hi,
                 ScanOptions opts)
-        // Snapshot pin before the epoch guard — see AscendIter.
-        : map_(&m),
-          snap_(opts.isSnapshot() && opts.snapshotVersion == 0
-                    ? Snapshot(*m.snapDomain_)
-                    : Snapshot{}),
-          snapV_(!opts.isSnapshot()        ? 0
-                 : opts.snapshotVersion != 0 ? opts.snapshotVersion
-                                             : snap_.version()),
-          guard_(m.ebr_),
-          lo_(std::move(lo)),
-          stream_(opts.stream) {
-      if (snap_.valid()) m.stats_.incCounter(obs::Counter::SnapshotOpened);
-      if (stream_) m.metaHeap_.ephemeralObject(m.cfg_.ephemeralViewBytes);
+        : IterBase(m, opts), lo_(std::move(lo)) {
       if (hi) {
         // hi is exclusive: start from the chunk containing keys < hi.
         chunk_ = m.locateChunk(asBytes(*hi));
@@ -609,16 +583,6 @@ class OakCoreMap {
         initChunk(ByteSpan{}, /*boundedAbove=*/false);
       }
       advanceToLive();
-    }
-
-    bool valid() const noexcept { return chunk_ != nullptr; }
-
-    std::uint64_t snapshotVersion() const noexcept { return snapV_; }
-
-    EntryView entry() const {
-      return EntryView{chunk_->keyAt(cur_),
-                       detail::ValueCell(map_->mm_, detail::VRef{curVal_}),
-                       snapV_};
     }
 
     void next() {
@@ -692,38 +656,20 @@ class OakCoreMap {
           return;
         }
         const std::uint64_t v = chunk_->entry(e).valRef.load(std::memory_order_acquire);
-        if (v == 0 || !entryLive(v)) continue;
-        cur_ = e;
-        curVal_ = v;
+        if (v == 0 || !this->entryLive(v)) continue;
         if (!stack_.empty()) chunk_->prefetchEntry(stack_.back());
-        if (!stream_) map_->metaHeap_.ephemeralObject(map_->cfg_.ephemeralViewBytes);
+        this->yield(e, v);
         return;
       }
     }
 
-    bool entryLive(std::uint64_t v) const {
-      detail::ValueCell cell(map_->mm_, detail::VRef{v});
-      // Live scans must skip tombstones too: a removed key whose header is
-      // retained for older pinned versions is still absent *now*.
-      return snapV_ != 0 ? cell.visibleAt(snapV_)
-                         : cell.livenessProbe() == detail::Liveness::Live;
-    }
-
-    OakCoreMap* map_;
-    Snapshot snap_;
-    std::uint64_t snapV_ = 0;
-    sync::Ebr::Guard guard_;
-    ChunkT* chunk_ = nullptr;
     std::vector<std::int32_t> stack_;
     std::int32_t pp_ = ChunkT::kNone;        // sorted-prefix cursor
     std::int32_t boundary_ = ChunkT::kNone;  // start of the previous batch
     bool exhausted_ = false;
     bool bounded_ = false;
     ByteVec upper_;
-    std::int32_t cur_ = ChunkT::kNone;
-    std::uint64_t curVal_ = 0;
     std::optional<ByteVec> lo_;
-    bool stream_;
   };
 
   // GCC 12 falsely flags the moved-from optionals below as
@@ -997,26 +943,6 @@ class OakCoreMap {
     return vgcFeed_.size();
   }
 
-  /// A key that splits this map's population roughly in half — the online
-  /// shard-split policy's boundary candidate.  Chunk granularity: the
-  /// middle chunk's minKey, or the middle of a lone chunk's sorted prefix.
-  /// Empty when the map is too small to split meaningfully.
-  ByteVec midKeyHint() {
-    sync::Ebr::Guard g(ebr_);
-    std::vector<ChunkT*> chain;
-    for (ChunkT* c = firstChunk(); c != nullptr;
-         c = c->nextChunk().load(std::memory_order_acquire)) {
-      chain.push_back(c);
-    }
-    if (chain.size() >= 2) {
-      // chain[size/2] is never index 0, so never the head's -inf sentinel.
-      return toVec(chain[chain.size() / 2]->minKey());
-    }
-    ChunkT* c = chain.front();
-    const std::int32_t sorted = c->sortedCount();
-    if (sorted >= 2) return toVec(c->keyAt(sorted / 2));
-    return ByteVec{};
-  }
   /// Drains deferred reclamation (retired chunks) — call from a quiescent
   /// state when precise footprint numbers matter (§3.2 footprint API).
   void quiesce() {
@@ -1027,19 +953,6 @@ class OakCoreMap {
   const Compare& comparator() const noexcept { return cmp_; }
 
  private:
-  std::optional<KeyedEntry> takeFirst(AscendIter& it) {
-    if (!it.valid()) return std::nullopt;
-    auto e = it.entry();
-    metaHeap_.ephemeralObject(cfg_.ephemeralViewBytes);
-    return KeyedEntry{toVec(e.key), OakRBuffer::forValue(e.value)};
-  }
-  std::optional<KeyedEntry> takeFirst(DescendIter& it) {
-    if (!it.valid()) return std::nullopt;
-    auto e = it.entry();
-    metaHeap_.ephemeralObject(cfg_.ephemeralViewBytes);
-    return KeyedEntry{toVec(e.key), OakRBuffer::forValue(e.value)};
-  }
-
   enum class PutOp { Put, PutIfAbsent, PutIfAbsentComputeIfPresent };
   enum class IfPresentOp { Compute, Remove };
 
@@ -1135,15 +1048,15 @@ class OakCoreMap {
           if (op == PutOp::PutIfAbsent) return false;
           bool succ;
           if (op == PutOp::Put) {
-            succ = (old != nullptr) ? cell.exchange(value, old, &snapCtx_)
-                                    : cell.put(value, &snapCtx_);
+            succ = (old != nullptr) ? cell.exchange(value, old, snapCtx_)
+                                    : cell.put(value, snapCtx_);
           } else {  // PutIfAbsentComputeIfPresent
             succ = cell.compute(
                 [&](detail::ValueCell& vc) {
                   OakWBuffer w(vc);
                   (*func)(w);
                 },
-                &snapCtx_);
+                snapCtx_);
           }
           if (!succ) continue;  // deleted/tombstoned underneath us — retry
           if (replaced != nullptr) *replaced = true;
@@ -1252,7 +1165,7 @@ class OakCoreMap {
                 OakWBuffer w(vc);
                 (*func)(w);
               },
-              &snapCtx_);
+              snapCtx_);
           if (ok) return true;
           // fall through: the value was deleted or tombstoned meanwhile
         } else {  // Remove
@@ -1767,8 +1680,6 @@ class OakCoreMap {
   std::atomic<std::uint32_t> evacTick_{0};
   std::atomic<bool> evacJobQueued_{false};
 
-  friend class AscendIter;
-  friend class DescendIter;
   template <class>
   friend class ChunkWalker;  // OakSan invariant validator (oak/chunk_walker.hpp)
 };

@@ -15,8 +15,9 @@
 // entrySet/keySet/valueSet and the core iterators.
 //
 // There is one map.  BasicOakMap wraps ShardedOakCoreMap<Compare>
-// (oak/sharded_map.hpp): range-partitioned OakCoreMap shards with k-way
-// merged scans, and the only owner of durability.  OakMap and ShardedOakMap
+// (oak/sharded_map.hpp): range-partitioned OakCoreMap shards, whose scans
+// read the shards one after another in key order, and the only owner of
+// durability.  OakMap and ShardedOakMap
 // name the same type; a plain OakConfig builds a 1-shard map, whose single
 // chunk list is the paper's map.
 #pragma once
@@ -517,7 +518,7 @@ class BasicOakMap {
 /// The map.  Built from an OakConfig it has one shard — one chunk list, the
 /// paper's map; built from a ShardedOakConfig (withShards(N) or an explicit
 /// ShardLayout) it has N independent shards (own chunk list, arena region,
-/// EBR domain) whose full-map scans are k-way merged and stay sorted.
+/// EBR domain) whose full-map scans read the shards in key order.
 template <class K, class V, class KSer, class VSer, class Compare = BytesComparator>
 using OakMap = BasicOakMap<K, V, KSer, VSer, Compare>;
 

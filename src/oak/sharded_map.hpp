@@ -11,11 +11,13 @@
 //     and keep the exact single-map linearization points (§4.5): one op
 //     touches exactly one shard, so per-shard linearizability composes to
 //     whole-map linearizability for point ops.
-//   * Ordered scans run a k-way merge over per-shard iterators, each
-//     clamped to its shard's owned range, so cross-shard output is totally
-//     ordered and free of duplicates even after splits (see "migration
-//     leftovers" below).  The scan keeps the paper's non-atomic §4.2
-//     guarantees, exactly as a single-shard scan does.
+//   * Ordered scans read the shards one after another in key order, each
+//     through an iterator clamped to its shard's owned range.  The clamped
+//     ranges are disjoint, so cross-shard output is totally ordered and
+//     free of duplicates even after splits (see "migration leftovers"
+//     below).  Navigation (ceilingEntry, floorEntry, ...) is built on these
+//     scans.  The scan keeps the paper's non-atomic §4.2 guarantees,
+//     exactly as a single-shard scan does.
 //
 // Online shard management (split/merge) follows the paper's publish/freeze
 // discipline (§4.1), lifted from chunks to shards:
@@ -67,6 +69,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -122,8 +125,13 @@ class ShardedOakCoreMap {
   /// With autoShardManage, each thread submits a hot/cold check every this
   /// many of its operations.
   static constexpr std::uint64_t kManageCheckOps = 1 << 16;
-  using KeyedEntry = typename Core::KeyedEntry;
   using EntryView = typename Core::EntryView;
+  /// Navigation result: the entry's key (copied — it identifies the entry)
+  /// and a zero-copy value view.
+  struct KeyedEntry {
+    ByteVec key;
+    OakRBuffer value;
+  };
 
   explicit ShardedOakCoreMap(ShardedOakConfig cfg = ShardedOakConfig{},
                              Compare cmp = Compare{})
@@ -288,9 +296,10 @@ class ShardedOakCoreMap {
   }
 
   // ==================================================== navigation ==
-  // Expressed through the clamped merged scans, exactly like the plain
-  // core expresses them through its own iterators — which makes range
-  // clamping (migration leftovers!) a single-point concern.
+  // Expressed through the clamped merged scans, which open shards one at a
+  // time in key order: a lookup touches one shard unless its answer lies
+  // past a shard edge, and range clamping (migration leftovers!) stays a
+  // single-point concern.
   std::optional<KeyedEntry> firstEntry() {
     AscendIter it = ascend();
     return takeFirst(it);
@@ -320,16 +329,30 @@ class ShardedOakCoreMap {
   }
 
   // =================================================== merged scans ==
-  /// Ascending k-way merge over per-shard stream iterators, each clamped
-  /// to [shard lower bound, shard upper bound) so migration leftovers in a
-  /// split source core never surface.  Iterators hold shared ownership of
-  /// the cores they read: a concurrent merge retiring a core never
-  /// invalidates a running scan.
-  class AscendIter {
+  /// Whole-map scan in key order.  Shards are range-partitioned and each
+  /// per-shard iterator is clamped to its shard's owned range, so the
+  /// clamped ranges are disjoint and reading the shards one after another
+  /// (first to last ascending, last to first descending) is already sorted
+  /// and free of duplicates; the clamp also hides migration leftovers.  One
+  /// core iterator, and so one EBR guard, is open at a time: it lives inline
+  /// in `cur_` and is destroyed before the next shard's is opened.
+  ///
+  /// Setup happens once, at construction: one snapshot pin for all shards,
+  /// the layout, each shard's clamp, and shared ownership of the cores, so
+  /// a concurrent merge retiring a core never invalidates a running scan.
+  /// A shard opened later still reads the core captured here, even if a
+  /// split or merge has since superseded it — the same stale read §4.2
+  /// already allows an iterator that keeps reading a core after a
+  /// migration.  Any future trimming of migration leftovers must therefore
+  /// wait until no open scan holds the superseded layout.
+  template <bool kDescending>
+  class MergedIter {
+    using CoreIter = std::conditional_t<kDescending, typename Core::DescendIter,
+                                        typename Core::AscendIter>;
+
    public:
-    AscendIter(ShardedOakCoreMap& m, std::optional<ByteVec> lo,
-               std::optional<ByteVec> hi, ScanOptions opts)
-        : map_(&m) {
+    MergedIter(ShardedOakCoreMap& m, std::optional<ByteVec> lo,
+               std::optional<ByteVec> hi, ScanOptions opts) {
       if (opts.isSnapshot() && opts.snapshotVersion == 0) {
         // ONE pin for all shards: the merged scan observes a single version
         // consistent across the whole key space; per-shard iterators reuse
@@ -337,7 +360,7 @@ class ShardedOakCoreMap {
         snap_ = Snapshot(m.snapDomain_);
         opts.snapshotVersion = snap_.version();
       }
-      snapV_ = opts.isSnapshot() ? opts.snapshotVersion : 0;
+      opts_ = opts;
       const auto build = [&](const ShardRouter<Compare>& router,
                              const std::vector<std::shared_ptr<Core>>& cores) {
         if (snap_.valid() && !cores.empty()) cores.front()->noteSnapshotOpened();
@@ -345,24 +368,22 @@ class ShardedOakCoreMap {
         const std::size_t first = router.lowerShard(lo);
         const std::size_t last = std::min(router.upperShard(hi), n - 1);
         for (std::size_t i = first; i <= last; ++i) {
-          std::optional<ByteVec> effLo = lo;
+          Leg leg{cores[i], lo, hi};
           if (i > 0) {
             // Clamp below as well as above: during a merge the absorbing
             // core transiently holds keys under its published lower
             // boundary, and an unclamped iterator would yield them from
             // both shards.
             ByteVec lb = toVec(router.boundary(i - 1));
-            if (!effLo || m.cmp_(asBytes(lb), asBytes(*effLo)) > 0) effLo = std::move(lb);
+            if (!leg.lo || m.cmp_(asBytes(lb), asBytes(*leg.lo)) > 0) leg.lo = std::move(lb);
           }
-          std::optional<ByteVec> effHi = hi;
           if (i + 1 < n) {
             ByteVec ub = toVec(router.boundary(i));
-            if (!effHi || m.cmp_(asBytes(ub), asBytes(*effHi)) < 0) effHi = std::move(ub);
+            if (!leg.hi || m.cmp_(asBytes(ub), asBytes(*leg.hi)) < 0) leg.hi = std::move(ub);
           }
-          cores_.push_back(cores[i]);
-          iters_.push_back(std::make_unique<typename Core::AscendIter>(
-              *cores[i], std::move(effLo), std::move(effHi), opts));
+          legs_.push_back(std::move(leg));
         }
+        if constexpr (kDescending) std::reverse(legs_.begin(), legs_.end());
       };
       // Snapshot scans must route through the layout that was current AT
       // the read version: shard migration restamps moved values, so the
@@ -372,10 +393,11 @@ class ShardedOakCoreMap {
       // published layout serves every pinned version, so the common path
       // stays the plain hazard pin; the flag re-check AFTER pinning closes
       // the race with a concurrent migration publish (see historyRetained_).
-      bool useHistory = snapV_ != 0 && m.historyRetained();
+      const std::uint64_t snapV = snapshotVersion();
+      bool useHistory = snapV != 0 && m.historyRetained();
       if (!useHistory) {
         TableRef tr(m);
-        if (snapV_ != 0 && m.historyRetained()) {
+        if (snapV != 0 && m.historyRetained()) {
           useHistory = true;  // raced a migration; drop the pin, use history
         } else {
           build(tr->router, tr->cores);
@@ -385,127 +407,52 @@ class ShardedOakCoreMap {
         // Taken WITHOUT a hazard pin held: snapshotScanView blocks on
         // mgmtMu_, and a migration holding mgmtMu_ awaits hazard
         // quiescence.
-        const auto view = m.snapshotScanView(snapV_);
+        const auto view = m.snapshotScanView(snapV);
         build(view.router, view.cores);
       }
-      pick();
+      openNextShard();
     }
 
-    bool valid() const noexcept { return cur_ != kNoneIdx; }
-    std::uint64_t snapshotVersion() const noexcept { return snapV_; }
-    EntryView entry() const { return iters_[cur_]->entry(); }
+    bool valid() const noexcept { return cur_.has_value(); }
+    std::uint64_t snapshotVersion() const noexcept {
+      return opts_.isSnapshot() ? opts_.snapshotVersion : 0;
+    }
+    EntryView entry() const { return cur_->entry(); }
     void next() {
-      iters_[cur_]->next();
-      pick();
+      cur_->next();
+      if (!cur_->valid()) openNextShard();
     }
 
    private:
-    static constexpr std::size_t kNoneIdx = ~std::size_t{0};
+    /// One shard's part of the scan: its core and clamped bounds.
+    struct Leg {
+      std::shared_ptr<Core> core;  // keepalive across merges
+      std::optional<ByteVec> lo;
+      std::optional<ByteVec> hi;
+    };
 
-    void pick() noexcept {
-      cur_ = kNoneIdx;
-      for (std::size_t i = 0; i < iters_.size(); ++i) {
-        if (!iters_[i]->valid()) continue;
-        if (cur_ == kNoneIdx ||
-            map_->cmp_(iters_[i]->entry().key, iters_[cur_]->entry().key) < 0) {
-          cur_ = i;
-        }
+    /// Drops the current shard's iterator (releasing its EBR guard), then
+    /// opens shards in scan order until one has an entry or none remain.
+    void openNextShard() {
+      cur_.reset();
+      while (nextLeg_ < legs_.size()) {
+        Leg& leg = legs_[nextLeg_++];
+        cur_.emplace(*leg.core, std::move(leg.lo), std::move(leg.hi), opts_);
+        if (cur_->valid()) return;
+        cur_.reset();
       }
     }
 
-    ShardedOakCoreMap* map_;
+    // cur_ is declared last so it (and its EBR guard) is destroyed before
+    // the core that legs_ keeps alive.
     Snapshot snap_;  ///< the one cross-shard pin (snapshot mode only)
-    std::uint64_t snapV_ = 0;
-    std::vector<std::shared_ptr<Core>> cores_;  // keepalive across merges
-    std::vector<std::unique_ptr<typename Core::AscendIter>> iters_;
-    std::size_t cur_ = kNoneIdx;
+    ScanOptions opts_;
+    std::vector<Leg> legs_;  ///< in scan order
+    std::size_t nextLeg_ = 0;
+    std::optional<CoreIter> cur_;
   };
-
-  /// Descending k-way merge: picks the globally greatest key next.  Same
-  /// clamping and core keepalive as AscendIter.
-  class DescendIter {
-   public:
-    DescendIter(ShardedOakCoreMap& m, std::optional<ByteVec> lo,
-                std::optional<ByteVec> hi, ScanOptions opts)
-        : map_(&m) {
-      if (opts.isSnapshot() && opts.snapshotVersion == 0) {
-        // Same single-pin protocol as the merged AscendIter.
-        snap_ = Snapshot(m.snapDomain_);
-        opts.snapshotVersion = snap_.version();
-      }
-      snapV_ = opts.isSnapshot() ? opts.snapshotVersion : 0;
-      const auto build = [&](const ShardRouter<Compare>& router,
-                             const std::vector<std::shared_ptr<Core>>& cores) {
-        if (snap_.valid() && !cores.empty()) cores.front()->noteSnapshotOpened();
-        const std::size_t n = cores.size();
-        const std::size_t first = router.lowerShard(lo);
-        const std::size_t last = std::min(router.upperShard(hi), n - 1);
-        for (std::size_t i = first; i <= last; ++i) {
-          std::optional<ByteVec> effLo = lo;
-          if (i > 0) {
-            // Same lower-bound clamp as AscendIter: merge leftovers below
-            // the shard's published range must not surface twice.
-            ByteVec lb = toVec(router.boundary(i - 1));
-            if (!effLo || m.cmp_(asBytes(lb), asBytes(*effLo)) > 0) effLo = std::move(lb);
-          }
-          std::optional<ByteVec> effHi = hi;
-          if (i + 1 < n) {
-            ByteVec ub = toVec(router.boundary(i));
-            if (!effHi || m.cmp_(asBytes(ub), asBytes(*effHi)) < 0) effHi = std::move(ub);
-          }
-          cores_.push_back(cores[i]);
-          iters_.push_back(std::make_unique<typename Core::DescendIter>(
-              *cores[i], std::move(effLo), std::move(effHi), opts));
-        }
-      };
-      // Same version-resolved layout selection as the merged AscendIter:
-      // hazard-pin fast path unless superseded tables are retained, flag
-      // re-checked after pinning, history path entered with no pin held.
-      bool useHistory = snapV_ != 0 && m.historyRetained();
-      if (!useHistory) {
-        TableRef tr(m);
-        if (snapV_ != 0 && m.historyRetained()) {
-          useHistory = true;
-        } else {
-          build(tr->router, tr->cores);
-        }
-      }
-      if (useHistory) {
-        const auto view = m.snapshotScanView(snapV_);
-        build(view.router, view.cores);
-      }
-      pick();
-    }
-
-    bool valid() const noexcept { return cur_ != kNoneIdx; }
-    std::uint64_t snapshotVersion() const noexcept { return snapV_; }
-    EntryView entry() const { return iters_[cur_]->entry(); }
-    void next() {
-      iters_[cur_]->next();
-      pick();
-    }
-
-   private:
-    static constexpr std::size_t kNoneIdx = ~std::size_t{0};
-
-    void pick() noexcept {
-      cur_ = kNoneIdx;
-      for (std::size_t i = 0; i < iters_.size(); ++i) {
-        if (!iters_[i]->valid()) continue;
-        if (cur_ == kNoneIdx ||
-            map_->cmp_(iters_[i]->entry().key, iters_[cur_]->entry().key) > 0) {
-          cur_ = i;
-        }
-      }
-    }
-
-    ShardedOakCoreMap* map_;
-    Snapshot snap_;  ///< the one cross-shard pin (snapshot mode only)
-    std::uint64_t snapV_ = 0;
-    std::vector<std::shared_ptr<Core>> cores_;
-    std::vector<std::unique_ptr<typename Core::DescendIter>> iters_;
-    std::size_t cur_ = kNoneIdx;
-  };
+  using AscendIter = MergedIter<false>;
+  using DescendIter = MergedIter<true>;
 
   AscendIter ascend(std::optional<ByteVec> lo = std::nullopt,
                     std::optional<ByteVec> hi = std::nullopt,
@@ -820,6 +767,12 @@ class ShardedOakCoreMap {
   template <class F>
   auto readOp(ByteSpan key, F&& f) {
     noteOp();
+    return routed(key, std::forward<F>(f));
+  }
+
+  /// Runs `f` on the core owning `key`, without counting a user op.
+  template <class F>
+  auto routed(ByteSpan key, F&& f) {
     TableRef t(*this);
     return f(*t->cores[t->router.shardFor(key)]);
   }
@@ -926,7 +879,7 @@ class ShardedOakCoreMap {
   }
 
   // ------------------------------------------------------ scan views --
-  /// Value-copy of one table's routing state: the merged iterators build
+  /// Value-copy of one table's routing state: the merged scans build
   /// from this so they never dangle on a pruned Table (cores stay alive via
   /// the shared_ptrs, boundaries via the router copy).
   struct ScanTableView {
@@ -1197,9 +1150,13 @@ class ShardedOakCoreMap {
   /// replay then restores f1(x), which matches neither linearization and
   /// loses an upsert across reopen.  Closing it needs version-stamped WAL
   /// records or an append made under the value's header lock.
+  ///
+  /// The read-back is part of the compute, not a user GetCopy: it goes
+  /// through the routed core uncounted (no op, no managed-heap charge, no
+  /// shard-management tick).
   void walLogPostImage(ByteSpan key) {
     if (wal_ == nullptr) return;
-    if (auto v = getCopy(key)) {
+    if (auto v = routed(key, [&](Core& c) { return c.copyValue(key); })) {
       wal_->appendPut(key, asBytes(*v));
       maybeCheckpoint();
     }
@@ -1345,7 +1302,7 @@ class ShardedOakCoreMap {
   std::atomic<Table*> table_{nullptr};
   /// Raised (before publish) whenever a publish supersedes a table, lowered
   /// by pruneLocked once history is down to the published table alone.
-  /// seq_cst pairs with the pin-then-check in the merged iterator ctors.
+  /// seq_cst pairs with the pin-then-check in the merged scan constructor.
   std::atomic<bool> historyRetained_{false};
   mutable std::unique_ptr<GateSlot[]> gate_;
 

@@ -329,29 +329,17 @@ class ValueCell {
   /// case 1 retries).  May throw OffHeapOutOfMemory when the value grows or
   /// the superseded version must be chained; the old contents stay intact
   /// (allocations happen before anything mutates).
-  bool put(ByteSpan bytes, const SnapCtx* sc = nullptr) {
+  bool put(ByteSpan bytes, const SnapCtx& sc) {
     sync::WriteGuard g(hdr_->lock);
     if (!g.acquired() || stale()) return false;
     if (tombstoneLocked()) return false;
-    if (sc == nullptr) {
-      writeLocked(bytes);
-      return true;
-    }
-    helpStamp(*sc);
-    const std::uint64_t s = sc->domain->now();
-    // Stamp loaded BEFORE the active check: if activeSnapshots() reads 0,
-    // any open that could still need the superseded version has its clock
-    // fetch_add ordered after our load, so its V >= s and the NEW value is
-    // the one visible at V (snapshot.hpp header comment).
-    if (sc->domain->activeSnapshots() != 0) pushChainLocked(*sc);
-    writeLocked(bytes);
-    hdr_->writeVersion.store(s, std::memory_order_release);
+    overwriteLocked(sc, [&] { writeLocked(bytes); });
     return true;
   }
 
   /// Like put, but first copies the previous contents into *old — gives the
   /// legacy API its atomic "put returns the old value" semantics.
-  bool exchange(ByteSpan bytes, ByteVec* old, const SnapCtx* sc = nullptr) {
+  bool exchange(ByteSpan bytes, ByteVec* old, const SnapCtx& sc) {
     sync::WriteGuard g(hdr_->lock);
     if (!g.acquired() || stale()) return false;
     if (tombstoneLocked()) return false;
@@ -359,34 +347,18 @@ class ValueCell {
       const ByteSpan cur = payloadLocked();
       old->assign(cur.begin(), cur.end());
     }
-    if (sc == nullptr) {
-      writeLocked(bytes);
-      return true;
-    }
-    helpStamp(*sc);
-    const std::uint64_t s = sc->domain->now();
-    if (sc->domain->activeSnapshots() != 0) pushChainLocked(*sc);
-    writeLocked(bytes);
-    hdr_->writeVersion.store(s, std::memory_order_release);
+    overwriteLocked(sc, [&] { writeLocked(bytes); });
     return true;
   }
 
   /// v.compute(func): runs the user lambda atomically, exactly once (§2.2).
   /// The superseded version is chained BEFORE the lambda mutates in place.
   template <class F>
-  bool compute(F&& f, const SnapCtx* sc = nullptr) {
+  bool compute(F&& f, const SnapCtx& sc) {
     sync::WriteGuard g(hdr_->lock);
     if (!g.acquired() || stale()) return false;
     if (tombstoneLocked()) return false;
-    if (sc == nullptr) {
-      f(*this);
-      return true;
-    }
-    helpStamp(*sc);
-    const std::uint64_t s = sc->domain->now();
-    if (sc->domain->activeSnapshots() != 0) pushChainLocked(*sc);
-    f(*this);
-    hdr_->writeVersion.store(s, std::memory_order_release);
+    overwriteLocked(sc, [&] { f(*this); });
     return true;
   }
 
@@ -413,36 +385,10 @@ class ValueCell {
     return true;
   }
 
-  /// v.remove(): marks deleted, releases the payload and chain, and
-  /// (Generational mode) recycles the header.  Returns false if already
-  /// deleted/stale.  Snapshot-oblivious legacy path — the versioned map
-  /// uses removeAt().
-  bool remove(ByteVec* old = nullptr, HeaderPool* pool = nullptr) noexcept {
-    {
-      sync::WriteGuard g(hdr_->lock);
-      if (!g.acquired() || stale()) return false;
-      if (tombstoneLocked()) return false;
-      if (old != nullptr) {
-        const ByteSpan cur = payloadLocked();
-        old->assign(cur.begin(), cur.end());
-      }
-      hdr_->lock.setDeleted();
-      const mem::Ref payload{hdr_->payloadRef.load(std::memory_order_relaxed)};
-      if (payload.length() != 0) mm_->free(payload);
-      hdr_->payloadRef.store(0, std::memory_order_relaxed);
-      hdr_->size = 0;
-      freeChainLocked();
-    }
-    // Past this point every accessor fails on the deleted bit; with a pool
-    // the header storage is immediately reusable (type-stable + versioned).
-    if (pool != nullptr) pool->release(headerRef(ref_));
-    return true;
-  }
-
   /// Versioned remove.  With open snapshots the value becomes a TOMBSTONE —
   /// header and chain survive so readAt() can still serve older versions;
   /// the version GC hard-deletes it once no pin can reach it.  Without open
-  /// snapshots this degenerates to the legacy hard remove.  May throw
+  /// snapshots this is a hard remove.  May throw
   /// OffHeapOutOfMemory while chaining (value left intact).
   RemoveOutcome removeAt(const SnapCtx& sc, ByteVec* old = nullptr,
                          HeaderPool* pool = nullptr) {
@@ -734,6 +680,22 @@ class ValueCell {
   }
   static ByteSpan nodePayload(const VersionNode* n) noexcept {
     return {reinterpret_cast<const std::byte*>(n) + kVersionNodeBytes, n->size};
+  }
+
+  /// The versioned in-place write shared by put, exchange and compute:
+  /// help-stamp a pending value, chain the superseded version when a
+  /// snapshot may still read it, run `mutate`, then stamp.  Write lock held.
+  template <class Mutate>
+  void overwriteLocked(const SnapCtx& sc, Mutate&& mutate) {
+    helpStamp(sc);
+    const std::uint64_t s = sc.domain->now();
+    // Stamp loaded BEFORE the active check: if activeSnapshots() reads 0,
+    // any open that could still need the superseded version has its clock
+    // fetch_add ordered after our load, so its V >= s and the NEW value is
+    // the one visible at V (snapshot.hpp header comment).
+    if (sc.domain->activeSnapshots() != 0) pushChainLocked(sc);
+    mutate();
+    hdr_->writeVersion.store(s, std::memory_order_release);
   }
 
   /// Copies the CURRENT state (payload or tombstone, with its stamp) into a

@@ -9,6 +9,7 @@
 #include "mem/block_pool.hpp"
 #include "oak/chunk.hpp"
 #include "oak/serializer.hpp"
+#include "oak/snapshot.hpp"
 #include "oak/value.hpp"
 
 namespace oak::detail {
@@ -126,8 +127,9 @@ TEST_F(ChunkTest, CollectLiveSkipsDeletedAndEmpty) {
   const std::int32_t b = insert("b", 2);
   insert("c", 3);
   // Delete b's value; also add an entry with no value at all.
+  SnapshotDomain domain;
   ValueCell cell(mm_, VRef{chunk_->entry(b).valRef.load()});
-  cell.remove();
+  cell.removeAt(SnapCtx{&domain});
   const mem::Ref keyRef = mm_.allocateKey(asBytes(std::string_view("d")));
   const std::int32_t d = chunk_->allocateEntry(keyRef);
   chunk_->entriesLLPutIfAbsent(d);

@@ -155,6 +155,38 @@ TEST(CoreRecovery, RemovesOverwritesAndComputesSurviveReopen) {
   EXPECT_TRUE(ChunkWalker<BytesComparator>::validate(map).ok);
 }
 
+TEST(CoreRecovery, ComputeWalReadBackIsNotAUserGet) {
+  // The WAL logs a compute's post-image by reading it back; that read is
+  // part of the compute and must not show up as a user GetCopy.
+  TempDir dir;
+  constexpr int kN = 10;
+  {
+    ShardedOakCoreMap<> map(durableCfg(dir.str()));
+    for (int i = 0; i < kN; ++i) {
+      map.put(bytes(padKey(i)), bytes(valueFor(i, 'a')));
+    }
+    for (int i = 0; i < kN; ++i) {
+      const std::string v = valueFor(i, 'c');
+      ASSERT_TRUE(map.computeIfPresent(bytes(padKey(i)), [&](OakWBuffer& w) {
+        w.resize(v.size());
+        w.write(0, bytes(v));
+      }));
+    }
+    if (obs::StatsRegistry::compiled()) {
+      const obs::Metrics m = map.stats();
+      EXPECT_EQ(m.registry.op(obs::Op::Compute).count, static_cast<std::uint64_t>(kN));
+      EXPECT_EQ(m.registry.op(obs::Op::GetCopy).count, 0u);
+    }
+    map.syncWal();
+  }
+  ShardedOakCoreMap<> map(durableCfg(dir.str()));
+  for (int i = 0; i < kN; ++i) {
+    auto v = map.getCopy(bytes(padKey(i)));
+    ASSERT_TRUE(v.has_value()) << padKey(i);
+    EXPECT_EQ(*v, toVec(bytes(valueFor(i, 'c'))));
+  }
+}
+
 TEST(CoreRecovery, CheckpointTruncatesWalSoReplayCoversOnlyTheTail) {
   TempDir dir;
   {

@@ -67,10 +67,12 @@ TEST(Generational, StaleReferenceBehavesDeleted) {
   mem::BlockPool pool({.blockBytes = 1u << 20, .budgetBytes = SIZE_MAX});
   mem::MemoryManager mm(pool);
   detail::HeaderPool hp(mm);
+  SnapshotDomain domain;  // no snapshot open: removes are hard deletes
+  const detail::SnapCtx sc{&domain};
   const detail::VRef oldRef =
       detail::ValueCell::allocate(mm, asBytes(std::string_view("old")), &hp);
   detail::ValueCell oldCell(mm, oldRef);
-  ASSERT_TRUE(oldCell.remove(nullptr, &hp));
+  ASSERT_EQ(oldCell.removeAt(sc, nullptr, &hp), detail::RemoveOutcome::Removed);
   // The header is recycled into a brand-new value...
   const detail::VRef newRef =
       detail::ValueCell::allocate(mm, asBytes(std::string_view("new!")), &hp);
@@ -78,9 +80,9 @@ TEST(Generational, StaleReferenceBehavesDeleted) {
   ASSERT_NE(newRef.version(), oldRef.version());
   // ...and the stale handle must keep failing everywhere.
   EXPECT_TRUE(oldCell.isDeleted());
-  EXPECT_FALSE(oldCell.put(asBytes(std::string_view("X"))));
+  EXPECT_FALSE(oldCell.put(asBytes(std::string_view("X")), sc));
   EXPECT_FALSE(oldCell.read([](ByteSpan) { FAIL(); }));
-  EXPECT_FALSE(oldCell.remove(nullptr, &hp));
+  EXPECT_EQ(oldCell.removeAt(sc, nullptr, &hp), detail::RemoveOutcome::Absent);
   // While the new value works.
   detail::ValueCell newCell(mm, newRef);
   std::string out;

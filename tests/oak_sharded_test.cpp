@@ -11,10 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "mheap/managed_heap.hpp"
 #include "oak/chunk_walker.hpp"
 #include "oak/map.hpp"
 #include "oak/sharded_map.hpp"
@@ -145,9 +147,68 @@ TEST(ShardedCoreMap, RangeScansClipToIntersectingShards) {
     EXPECT_EQ(loadU64BE(it.entry().key.data()), expect++);
   }
   EXPECT_EQ(expect, 25u);
+  // Bounds exactly on boundary keys: [16, 48) is shards 1 and 2, whole.
+  expect = 16;
+  for (auto it = map.ascend(keyOf(16), keyOf(48)); it.valid(); it.next()) {
+    EXPECT_EQ(loadU64BE(it.entry().key.data()), expect++);
+  }
+  EXPECT_EQ(expect, 48u);
   // Empty range at a shard boundary.
-  auto it = map.ascend(keyOf(16), keyOf(16));
-  EXPECT_FALSE(it.valid());
+  EXPECT_FALSE(map.ascend(keyOf(16), keyOf(16)).valid());
+
+  // The same ranges descending: the shards are read last to first.
+  expect = 34;
+  for (auto it = map.descend(keyOf(14), keyOf(35)); it.valid(); it.next()) {
+    EXPECT_EQ(loadU64BE(it.entry().key.data()), expect--);
+  }
+  EXPECT_EQ(expect, 13u);
+  expect = 24;
+  for (auto it = map.descend(keyOf(20), keyOf(25)); it.valid(); it.next()) {
+    EXPECT_EQ(loadU64BE(it.entry().key.data()), expect--);
+  }
+  EXPECT_EQ(expect, 19u);
+  expect = 47;
+  for (auto it = map.descend(keyOf(16), keyOf(48)); it.valid(); it.next()) {
+    EXPECT_EQ(loadU64BE(it.entry().key.data()), expect--);
+  }
+  EXPECT_EQ(expect, 15u);
+  EXPECT_FALSE(map.descend(keyOf(16), keyOf(16)).valid());
+}
+
+TEST(ShardedCoreMap, LookupsChargeViewsLikeOneShard) {
+  // Set-style scans charge one ephemeral view per returned entry (§2.2).
+  // The merged scan opens shards one at a time in key order, so a lookup
+  // or a short read opens only the shards it reads, and a 4-shard map
+  // charges the managed heap exactly what a 1-shard map does.
+  const auto charges = [](std::size_t shards) {
+    mheap::ManagedHeap heap;
+    auto map = std::make_unique<ShardedOakCoreMap<>>(
+        ShardedOakConfig{}
+            .withShards(shards)
+            .withLayout(ShardLayout::uniformRange(shards, 64))
+            .withShard(OakConfig{}.withChunkCapacity(16).withMem(
+                MemConfig{}.withMetaHeap(&heap))));
+    for (std::uint64_t k = 0; k < 64; ++k) {
+      map->put(asBytes(keyOf(k)), asBytes(valOf(k)));
+    }
+    const auto allocations = [&] { return heap.stats().allocations; };
+    std::vector<std::uint64_t> out;
+    std::uint64_t before = allocations();
+    EXPECT_TRUE(map->ceilingEntry(asBytes(keyOf(5))).has_value());
+    out.push_back(allocations() - before);
+    before = allocations();
+    EXPECT_TRUE(map->floorEntry(asBytes(keyOf(60))).has_value());
+    out.push_back(allocations() - before);
+    before = allocations();
+    std::size_t read = 0;
+    for (auto it = map->ascend(keyOf(3)); it.valid() && read < 4; it.next()) ++read;
+    EXPECT_EQ(read, 4u);
+    out.push_back(allocations() - before);
+    return out;
+  };
+  const std::vector<std::uint64_t> one = charges(1);
+  EXPECT_EQ(one, (std::vector<std::uint64_t>{1, 1, 5}));
+  EXPECT_EQ(charges(4), one);
 }
 
 TEST(ShardedCoreMap, NavigationWalksAcrossShardEdges) {

@@ -272,6 +272,17 @@ TEST(SnapshotOracle, PinnedScanSurvivesShardSplitAndMerge) {
   map.collectVersionsNow();  // must not reclaim what the pin still reads
 
   expectMatchesOracle(map, snap, world, "pinned across split+merge");
+  // The descending scan at the same pin walks the pre-migration shards in
+  // reverse and must see the same world.
+  const auto desc = drain(
+      map, ScanOptions::snapshotAt(snap.version(), ScanOptions::Direction::Descending));
+  ASSERT_EQ(desc.size(), world.size());
+  std::size_t i = 0;
+  for (const auto& [k, payload] : world) {
+    EXPECT_EQ(desc[i].first, k) << "descending pos " << i;
+    EXPECT_EQ(desc[i].second, payload) << "descending key " << k;
+    ++i;
+  }
 
   // A pin opened after the migrations sees the post-churn world.
   Snapshot now = map.openSnapshot();

@@ -9,6 +9,7 @@
 
 #include "mem/block_pool.hpp"
 #include "oak/buffer.hpp"
+#include "oak/snapshot.hpp"
 #include "oak/value.hpp"
 
 namespace oak::detail {
@@ -30,6 +31,10 @@ class ValueTest : public ::testing::Test {
 
   mem::BlockPool pool_;
   mem::MemoryManager mm_;
+  // Writes are always versioned; with no snapshot open they overwrite in
+  // place and removes are hard deletes.
+  SnapshotDomain domain_;
+  const SnapCtx sc_{&domain_};
 };
 
 TEST_F(ValueTest, AllocateAndRead) {
@@ -40,27 +45,27 @@ TEST_F(ValueTest, AllocateAndRead) {
 
 TEST_F(ValueTest, PutOverwritesInPlace) {
   ValueCell v = make("aaaa");
-  EXPECT_TRUE(v.put(asBytes(std::string_view("bbbb"))));
+  EXPECT_TRUE(v.put(asBytes(std::string_view("bbbb")), sc_));
   EXPECT_EQ(readAll(v), "bbbb");
 }
 
 TEST_F(ValueTest, PutGrowsBeyondCapacity) {
   ValueCell v = make("ab");
   const std::string big(5000, 'x');
-  EXPECT_TRUE(v.put(asBytes(std::string_view(big))));
+  EXPECT_TRUE(v.put(asBytes(std::string_view(big)), sc_));
   EXPECT_EQ(readAll(v), big);
 }
 
 TEST_F(ValueTest, PutShrinks) {
   ValueCell v = make("a long initial value");
-  EXPECT_TRUE(v.put(asBytes(std::string_view("s"))));
+  EXPECT_TRUE(v.put(asBytes(std::string_view("s")), sc_));
   EXPECT_EQ(readAll(v), "s");
 }
 
 TEST_F(ValueTest, ExchangeReturnsOld) {
   ValueCell v = make("old");
   ByteVec old;
-  EXPECT_TRUE(v.exchange(asBytes(std::string_view("new")), &old));
+  EXPECT_TRUE(v.exchange(asBytes(std::string_view("new")), &old, sc_));
   EXPECT_EQ(asString(asBytes(old)), "old");
   EXPECT_EQ(readAll(v), "new");
 }
@@ -68,12 +73,12 @@ TEST_F(ValueTest, ExchangeReturnsOld) {
 TEST_F(ValueTest, RemoveMarksDeletedAndFailsFurtherOps) {
   ValueCell v = make("gone");
   ByteVec old;
-  EXPECT_TRUE(v.remove(&old));
+  EXPECT_EQ(v.removeAt(sc_, &old), RemoveOutcome::Removed);
   EXPECT_EQ(asString(asBytes(old)), "gone");
   EXPECT_TRUE(v.isDeleted());
-  EXPECT_FALSE(v.remove());
-  EXPECT_FALSE(v.put(asBytes(std::string_view("x"))));
-  EXPECT_FALSE(v.compute([](ValueCell&) { FAIL(); }));
+  EXPECT_EQ(v.removeAt(sc_), RemoveOutcome::Absent);
+  EXPECT_FALSE(v.put(asBytes(std::string_view("x")), sc_));
+  EXPECT_FALSE(v.compute([](ValueCell&) { FAIL(); }, sc_));
   EXPECT_FALSE(v.read([](ByteSpan) { FAIL(); }));
 }
 
@@ -81,7 +86,7 @@ TEST_F(ValueTest, RemoveFreesPayloadBytes) {
   const auto before = mm_.allocatedBytes();
   ValueCell v = make(std::string(10000, 'p'));
   EXPECT_GE(mm_.allocatedBytes(), before + 10000);
-  v.remove();
+  v.removeAt(sc_);
   // Payload returned; only the 16-byte header stays (never reclaimed).
   EXPECT_LT(mm_.allocatedBytes(), before + 64);
 }
@@ -93,7 +98,7 @@ TEST_F(ValueTest, ComputeResizeViaWBuffer) {
     EXPECT_EQ(w.size(), 8u);
     w.resize(16);
     w.putU64(8, 0xdeadbeefull);
-  }));
+  }, sc_));
   std::string s = readAll(v);
   EXPECT_EQ(s.size(), 16u);
   EXPECT_EQ(s.substr(0, 8), "12345678");  // preserved across the move
@@ -113,7 +118,7 @@ TEST_F(ValueTest, WBufferAccessors) {
     EXPECT_EQ(w.getU64(8), 123456789ull);
     EXPECT_EQ(w.getI64(16), -42);
     EXPECT_EQ(w.getF64(24), 2.75);
-  });
+  }, sc_);
 }
 
 TEST_F(ValueTest, RBufferValueViewThrowsAfterDelete) {
@@ -121,7 +126,7 @@ TEST_F(ValueTest, RBufferValueViewThrowsAfterDelete) {
   OakRBuffer buf = OakRBuffer::forValue(v);
   EXPECT_EQ(buf.getByte(0), 'a');
   EXPECT_EQ(buf.size(), 4u);
-  v.remove();
+  v.removeAt(sc_);
   EXPECT_THROW(buf.getByte(0), ConcurrentModification);
   EXPECT_THROW(buf.size(), ConcurrentModification);
   EXPECT_THROW(buf.toVecCopy(), ConcurrentModification);
@@ -142,7 +147,7 @@ TEST_F(ValueTest, ExactlyOneRemoveWins) {
   for (int t = 0; t < 8; ++t) {
     ts.emplace_back([&] {
       ValueCell mine = v;  // handles are cheap copies
-      if (mine.remove()) wins.fetch_add(1);
+      if (mine.removeAt(sc_) == RemoveOutcome::Removed) wins.fetch_add(1);
     });
   }
   for (auto& t : ts) t.join();
@@ -160,7 +165,7 @@ TEST_F(ValueTest, ConcurrentComputesAreSerialized) {
         ASSERT_TRUE(mine.compute([](ValueCell& vc) {
           OakWBuffer w(vc);
           w.putU64(0, w.getU64(0) + 1);
-        }));
+        }, sc_));
       }
     });
   }
@@ -179,7 +184,7 @@ TEST_F(ValueTest, ReadersNeverSeeTornResize) {
   std::thread writer([&] {
     for (int i = 0; !stop.load(std::memory_order_acquire); ++i) {
       const std::string content(i % 2 == 0 ? 8 : 64, i % 2 == 0 ? 'A' : 'B');
-      v.put(asBytes(std::string_view(content)));
+      v.put(asBytes(std::string_view(content)), sc_);
     }
   });
   std::vector<std::thread> readers;
