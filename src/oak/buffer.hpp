@@ -6,7 +6,10 @@
 // * OakRBuffer wraps either an immutable off-heap key (no locking needed —
 //   keys never change) or a live value (every access takes the header's
 //   read lock and throws ConcurrentModification if the mapping was deleted,
-//   as the paper's get() contract specifies).
+//   as the paper's get() contract specifies).  It needs no guard: headers
+//   are immortal or type-stable and cores live as long as the map.  A view
+//   whose entry a shard split/merge moved throws ConcurrentModification
+//   once the old copy is trimmed (sharded_map.hpp, "Retirement").
 // * OakWBuffer is handed to compute lambdas while the value's write lock is
 //   held; it supports in-place reads, writes, and resize.
 #pragma once

@@ -114,9 +114,9 @@ class ChunkWalker {
   /// Validates one shard's chain, plus the router invariant that a core
   /// never holds a key *below* its owned range — a fault in one shard must
   /// never implicate its neighbors.  Keys at/above the upper boundary are
-  /// legal: shard splits leave migrated entries behind in the source core
-  /// ("migration leftovers"), hidden from routing by range clamping; the
-  /// cross-shard order audit in validate(Sharded&) checks that clamping.
+  /// legal: a split's source keeps migrated entries while a live layout
+  /// routes them there ("Retirement", sharded_map.hpp), hidden by range
+  /// clamping; validate(Sharded&)'s cross-shard order audit checks that.
   static Report validateShard(Sharded& m, std::size_t i) {
     Report rep = validate(m.shard(i));
     // Lower-boundary containment via the shard's own ordered extreme — but
@@ -146,7 +146,7 @@ class ChunkWalker {
   /// Whole-map rollup: every shard's problems, each prefixed "shard i:",
   /// plus a cross-shard order audit through the map's own clamped merged
   /// scan — the check that catches broken boundary clamping (duplicate or
-  /// out-of-order keys surfacing from migration leftovers).
+  /// out-of-order keys surfacing from migrated copies).
   static Report validate(Sharded& m) {
     Report all;
     const std::vector<Report> reps = validateShards(m);

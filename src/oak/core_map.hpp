@@ -383,6 +383,16 @@ class OakCoreMap {
     return ok;
   }
 
+  /// Removes every key in [lo, hi) through the remove protocol, as internal
+  /// work (no op count, no view charge): the map front end trims keys no
+  /// live shard layout routes to this core.
+  void removeRange(std::optional<ByteVec> lo, std::optional<ByteVec> hi) {
+    for (auto it = ascend(std::move(lo), std::move(hi), ScanOptions::streaming());
+         it.valid(); it.next()) {
+      doIfPresent(it.entry().key, nullptr, IfPresentOp::Remove, nullptr);
+    }
+  }
+
   // ================================================== degraded operation
   /// Non-throwing put for callers that prefer a Status over OOM exceptions
   /// (DESIGN.md "Failure model & degraded operation").  Retries with an

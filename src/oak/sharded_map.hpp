@@ -14,38 +14,46 @@
 //   * Ordered scans read the shards one after another in key order, each
 //     through an iterator clamped to its shard's owned range.  The clamped
 //     ranges are disjoint, so cross-shard output is totally ordered and
-//     free of duplicates even after splits (see "migration leftovers"
-//     below).  Navigation (ceilingEntry, floorEntry, ...) is built on these
-//     scans.  The scan keeps the paper's non-atomic §4.2 guarantees,
-//     exactly as a single-shard scan does.
+//     free of duplicates even while a core still holds migrated keys (see
+//     "retirement" below).  Navigation (ceilingEntry, floorEntry, ...) is
+//     built on these scans.  The scan keeps the paper's non-atomic §4.2
+//     guarantees, exactly as a single-shard scan does.
 //
 // Online shard management (split/merge) follows the paper's publish/freeze
 // discipline (§4.1), lifted from chunks to shards:
 //
 //   The routing state lives in an immutable, epoch-published Table
-//   {version, router, cores, sealed-range}.  Every operation pins the
-//   current table through a per-thread hazard slot (store-then-recheck, the
-//   same shape as Chunk's publish array); the management thread publishes a
-//   new table and waits until no slot references an older one before it
-//   frees it.  Point ops therefore never block on a split or merge — at
-//   worst a *writer* into the sealed range spins for the copy window.
+//   {version, born, router, cores, sealed-range}.  Every point operation
+//   pins the current table through a per-thread hazard slot (store-then-
+//   recheck, the same shape as Chunk's publish array); the management
+//   thread publishes a new table and waits until no slot references an
+//   older one before it lets go of it.  Point ops therefore never block on
+//   a split or merge — at worst a *writer* into the sealed range spins for
+//   the copy window.
 //
 //   SPLIT(i) at key M:   v+1 publishes the same layout with [M, hi_i)
 //   sealed (writers to that range spin; readers proceed).  After the seal
 //   is quiescent the range is write-quiescent, so its entries are copied
-//   into a fresh core without locks.  v+2 publishes boundary M with the
-//   fresh core owning [M, hi_i).  The source core keeps the migrated
-//   entries as inert "migration leftovers": range clamping hides them from
-//   every post-split operation, and in-flight pre-split readers observing
-//   them is exactly the stale-read §4.2 already allows.  Leftovers are
-//   reclaimed with the core.
+//   into an emptied core without locks.  v+2 publishes boundary M with
+//   that core owning [M, hi_i).
 //
 //   MERGE(i):   shard i is absorbed into shard i+1 (always leftward, so a
-//   core never receives keys below its owned range — that direction is
-//   what keeps leftovers from ever aliasing live entries).  v+1 seals
-//   shard i's whole range, the copy lands in shard i+1, and v+2 drops the
-//   boundary.  The absorbed core moves to a zombie list so outstanding
-//   zero-copy views (OakRBuffer) stay valid for the map's lifetime.
+//   core never receives keys below its owned range).  v+1 seals shard i's
+//   whole range, the copy lands in shard i+1, and v+2 drops the boundary.
+//
+// Retirement — one rule for superseded shard state.  A layout (Table) is
+// live while the published slot, the pinned history (a snapshot pinned
+// before a migration must read through the layout current at its version)
+// or an open merged scan holds it; scans hold one shared_ptr to their
+// layout.  A core keeps only the keys some live layout routes to it: after
+// every layout change and in quiesce(), keys outside the hull of its live
+// ranges — the copies a migration left in its source, or a rolled-back
+// copy — are removed through the core's own remove, and a core no live
+// layout names is emptied and parked for the next split to reuse.  Cores
+// live as long as the map and value headers are immortal or type-stable,
+// so a zero-copy view (OakRBuffer) never dangles: a view whose entry was
+// migrated and then trimmed throws ConcurrentModification, exactly as after
+// a concurrent remove.
 //
 // Hot/cold detection (manageShardsOnce) compares per-shard op-count deltas
 // from the obs registries; with autoShardManage the check is submitted to
@@ -117,6 +125,7 @@ struct ShardedOakConfig {
 template <class Compare = BytesComparator>
 class ShardedOakCoreMap {
   using Core = OakCoreMap<Compare>;
+  struct Table;
 
  public:
   using Config = ShardedOakConfig;
@@ -172,13 +181,12 @@ class ShardedOakCoreMap {
     gate_ = std::make_unique<GateSlot[]>(kMaxThreads);
     opTick_ = std::make_unique<OpTick[]>(kMaxThreads);
 
-    auto t0 = std::make_unique<Table>(ShardRouter<Compare>(std::move(layout), cmp_));
-    t0->cores.reserve(t0->router.shards());
-    for (std::size_t i = 0; i < t0->router.shards(); ++i) {
-      t0->cores.push_back(makeCore());
-    }
+    auto t0 = std::make_shared<Table>(ShardRouter<Compare>(std::move(layout), cmp_));
     {
       MutexLock lk(mgmtMu_);
+      for (std::size_t i = 0; i < t0->router.shards(); ++i) {
+        t0->cores.push_back(takeCoreLocked());
+      }
       publishLocked(std::move(t0));
     }
     if (plan.has_value()) initDurable(*plan);
@@ -298,8 +306,8 @@ class ShardedOakCoreMap {
   // ==================================================== navigation ==
   // Expressed through the clamped merged scans, which open shards one at a
   // time in key order: a lookup touches one shard unless its answer lies
-  // past a shard edge, and range clamping (migration leftovers!) stays a
-  // single-point concern.
+  // past a shard edge, and range clamping (keys a core holds outside its
+  // owned range until retirement trims them) stays a single-point concern.
   std::optional<KeyedEntry> firstEntry() {
     AscendIter it = ascend();
     return takeFirst(it);
@@ -333,18 +341,18 @@ class ShardedOakCoreMap {
   /// per-shard iterator is clamped to its shard's owned range, so the
   /// clamped ranges are disjoint and reading the shards one after another
   /// (first to last ascending, last to first descending) is already sorted
-  /// and free of duplicates; the clamp also hides migration leftovers.  One
-  /// core iterator, and so one EBR guard, is open at a time: it lives inline
-  /// in `cur_` and is destroyed before the next shard's is opened.
+  /// and free of duplicates; the clamp also hides keys a core holds outside
+  /// its owned range.  One core iterator, and so one EBR guard, is open at a
+  /// time: it lives inline in `cur_` and is destroyed before the next
+  /// shard's is opened.
   ///
   /// Setup happens once, at construction: one snapshot pin for all shards,
-  /// the layout, each shard's clamp, and shared ownership of the cores, so
-  /// a concurrent merge retiring a core never invalidates a running scan.
-  /// A shard opened later still reads the core captured here, even if a
-  /// split or merge has since superseded it — the same stale read §4.2
-  /// already allows an iterator that keeps reading a core after a
-  /// migration.  Any future trimming of migration leftovers must therefore
-  /// wait until no open scan holds the superseded layout.
+  /// one layout held by shared_ptr, and each shard's clamp.  Holding the
+  /// layout keeps it live under the retirement rule (file header), so every
+  /// core it names keeps the keys it routes there until the scan closes.  A
+  /// shard opened later still reads that layout's core, even if a split or
+  /// merge has since superseded it — the same stale read §4.2 already allows
+  /// an iterator that keeps reading a core after a migration.
   template <bool kDescending>
   class MergedIter {
     using CoreIter = std::conditional_t<kDescending, typename Core::DescendIter,
@@ -361,55 +369,36 @@ class ShardedOakCoreMap {
         opts.snapshotVersion = snap_.version();
       }
       opts_ = opts;
-      const auto build = [&](const ShardRouter<Compare>& router,
-                             const std::vector<std::shared_ptr<Core>>& cores) {
-        if (snap_.valid() && !cores.empty()) cores.front()->noteSnapshotOpened();
-        const std::size_t n = cores.size();
-        const std::size_t first = router.lowerShard(lo);
-        const std::size_t last = std::min(router.upperShard(hi), n - 1);
-        for (std::size_t i = first; i <= last; ++i) {
-          Leg leg{cores[i], lo, hi};
-          if (i > 0) {
-            // Clamp below as well as above: during a merge the absorbing
-            // core transiently holds keys under its published lower
-            // boundary, and an unclamped iterator would yield them from
-            // both shards.
-            ByteVec lb = toVec(router.boundary(i - 1));
-            if (!leg.lo || m.cmp_(asBytes(lb), asBytes(*leg.lo)) > 0) leg.lo = std::move(lb);
-          }
-          if (i + 1 < n) {
-            ByteVec ub = toVec(router.boundary(i));
-            if (!leg.hi || m.cmp_(asBytes(ub), asBytes(*leg.hi)) < 0) leg.hi = std::move(ub);
-          }
-          legs_.push_back(std::move(leg));
-        }
-        if constexpr (kDescending) std::reverse(legs_.begin(), legs_.end());
-      };
       // Snapshot scans must route through the layout that was current AT
-      // the read version: shard migration restamps moved values, so the
-      // published layout may not serve versions older than the last
-      // split/merge (the originals survive as sealed leftovers in the
-      // pre-migration cores).  When no superseded table is retained the
-      // published layout serves every pinned version, so the common path
-      // stays the plain hazard pin; the flag re-check AFTER pinning closes
-      // the race with a concurrent migration publish (see historyRetained_).
+      // the read version: shard migration restamps moved values, so a
+      // layout published after the pin may not serve it.  The published
+      // layout serves the scan when it is live or the layout was born at
+      // or before the pin; otherwise the pinned history holds the right
+      // one, taken under mgmtMu_ with NO hazard pin held (a migration
+      // holding mgmtMu_ awaits hazard quiescence).
       const std::uint64_t snapV = snapshotVersion();
-      bool useHistory = snapV != 0 && m.historyRetained();
-      if (!useHistory) {
+      {
         TableRef tr(m);
-        if (snapV != 0 && m.historyRetained()) {
-          useHistory = true;  // raced a migration; drop the pin, use history
-        } else {
-          build(tr->router, tr->cores);
-        }
+        if (snapV == 0 || tr->born <= snapV) table_ = tr->shared_from_this();
       }
-      if (useHistory) {
-        // Taken WITHOUT a hazard pin held: snapshotScanView blocks on
-        // mgmtMu_, and a migration holding mgmtMu_ awaits hazard
-        // quiescence.
-        const auto view = m.snapshotScanView(snapV);
-        build(view.router, view.cores);
+      if (table_ == nullptr) table_ = m.snapshotScanView(snapV);
+      const Table& t = *table_;
+      if (snap_.valid()) t.cores.front()->noteSnapshotOpened();
+      const std::size_t n = t.cores.size();
+      const std::size_t first = t.router.lowerShard(lo);
+      const std::size_t last = std::min(t.router.upperShard(hi), n - 1);
+      for (std::size_t i = first; i <= last; ++i) {
+        Leg leg{t.cores[i], lo, hi};
+        // Clamp below as well as above: during a merge the absorbing core
+        // transiently holds keys under its published lower boundary, and an
+        // unclamped iterator would yield them from both shards.
+        std::optional<ByteVec> ol = ownedLower(t, i);
+        if (ol && (!leg.lo || m.cmp_(asBytes(*ol), asBytes(*leg.lo)) > 0)) leg.lo = std::move(ol);
+        std::optional<ByteVec> ou = ownedUpper(t, i);
+        if (ou && (!leg.hi || m.cmp_(asBytes(*ou), asBytes(*leg.hi)) < 0)) leg.hi = std::move(ou);
+        legs_.push_back(std::move(leg));
       }
+      if constexpr (kDescending) std::reverse(legs_.begin(), legs_.end());
       openNextShard();
     }
 
@@ -426,7 +415,7 @@ class ShardedOakCoreMap {
    private:
     /// One shard's part of the scan: its core and clamped bounds.
     struct Leg {
-      std::shared_ptr<Core> core;  // keepalive across merges
+      Core* core;
       std::optional<ByteVec> lo;
       std::optional<ByteVec> hi;
     };
@@ -444,9 +433,10 @@ class ShardedOakCoreMap {
     }
 
     // cur_ is declared last so it (and its EBR guard) is destroyed before
-    // the core that legs_ keeps alive.
+    // the layout that table_ keeps live.
     Snapshot snap_;  ///< the one cross-shard pin (snapshot mode only)
     ScanOptions opts_;
+    std::shared_ptr<const Table> table_;
     std::vector<Leg> legs_;  ///< in scan order
     std::size_t nextLeg_ = 0;
     std::optional<CoreIter> cur_;
@@ -467,8 +457,9 @@ class ShardedOakCoreMap {
 
   // ============================================ online shard management ==
   /// Splits shard `idx` at the median of its owned range.  Returns false
-  /// when the shard is too small to pick a split key (or `idx` is out of
-  /// range, or the copy hit OOM and rolled back).
+  /// when the shard is too small to pick a split key, `idx` is out of
+  /// range, the map already has kMaxShards shards, or the copy hit OOM and
+  /// rolled back (counted as shard_mgmt_failed).
   bool splitShard(std::size_t idx) {
     MutexLock lk(mgmtMu_);
     return splitLocked(idx, ByteVec{});
@@ -479,8 +470,8 @@ class ShardedOakCoreMap {
     MutexLock lk(mgmtMu_);
     return splitLocked(idx, std::move(midKey));
   }
-  /// Merges shard `idx` into its right neighbor `idx + 1` (the absorbed
-  /// core is kept as a zombie so outstanding views stay valid).
+  /// Merges shard `idx` into its right neighbor `idx + 1`; the absorbed
+  /// core is emptied once no live layout names it, and parked for reuse.
   bool mergeShards(std::size_t idx) {
     MutexLock lk(mgmtMu_);
     return mergeLocked(idx);
@@ -517,7 +508,7 @@ class ShardedOakCoreMap {
   std::size_t compactNow() {
     MutexLock lk(mgmtMu_);
     std::size_t n = 0;
-    forEachCoreLocked([&](const Core& c) { n += const_cast<Core&>(c).compactNow(); });
+    forEachCoreLocked([&](Core& c) { n += c.compactNow(); });
     return n;
   }
 
@@ -532,8 +523,7 @@ class ShardedOakCoreMap {
   std::uint64_t collectVersionsNow() {
     MutexLock lk(mgmtMu_);
     std::uint64_t n = 0;
-    forEachCoreLocked(
-        [&](const Core& c) { n += const_cast<Core&>(c).collectVersionsNow(); });
+    forEachCoreLocked([&](Core& c) { n += c.collectVersionsNow(); });
     return n;
   }
 
@@ -629,7 +619,7 @@ class ShardedOakCoreMap {
     forEachCoreLocked([&](const Core& c) { n += c.chunkCount(); });
     return n;
   }
-  /// Rebalances across current shards *and* zombies — monotone across
+  /// Rebalances across every core the map has made — monotone across
   /// merges, and includes background-executed rebalances (the core's
   /// counter does not care who ran the protocol).
   std::uint64_t rebalanceCount() const {
@@ -641,18 +631,17 @@ class ShardedOakCoreMap {
 
   /// Whole-map observability snapshot: per-shard Metrics folded into one
   /// (counter/gauge sums, max EBR lag, maintenance gauges absorbed with
-  /// max since every shard reports the same shared service).  Zombie cores
-  /// are folded in too, so op and rebalance counters never step backwards
-  /// across a merge — but only live shards count toward `shards`.
+  /// max since every shard reports the same shared service).  Every core
+  /// the map has made is folded in, parked ones too, so op and rebalance
+  /// counters never step backwards across a merge — but only live shards
+  /// count toward `shards`.
   obs::Metrics stats() const {
     MutexLock lk(mgmtMu_);
-    const Table* t = table_.load(std::memory_order_acquire);
     std::vector<obs::Metrics> per;
-    per.reserve(t->cores.size() + zombies_.size());
-    for (const auto& c : t->cores) per.push_back(c->stats());
-    for (const auto& z : zombies_) per.push_back(z->stats());
+    per.reserve(cores_.size());
+    forEachCoreLocked([&](const Core& c) { per.push_back(c.stats()); });
     obs::Metrics m = obs::Metrics::aggregate(per);
-    m.shards = t->cores.size();
+    m.shards = table_.load(std::memory_order_acquire)->cores.size();
     // Durability gauges live at the front-end (the cores run in-memory and
     // contribute zeros above).
     if (wal_ != nullptr) {
@@ -677,18 +666,22 @@ class ShardedOakCoreMap {
     return per;
   }
 
-  /// Drains deferred reclamation in every shard's EBR domain.
+  /// Runs the retirement pass (trimming what closed scans and released
+  /// pins no longer need), then drains deferred reclamation in every
+  /// core's EBR domain.
   void quiesce() {
     MutexLock lk(mgmtMu_);
-    forEachCoreLocked([&](const Core& c) { const_cast<Core&>(c).quiesce(); });
+    reclaimLocked();
+    forEachCoreLocked([&](Core& c) { c.quiesce(); });
   }
 
  private:
   // ------------------------------------------------- published tables --
   // Immutable routing state.  A new Table is built off-path under mgmtMu_,
-  // published with one seq_cst store, and freed only after every hazard
-  // slot has moved past it.
-  struct Table {
+  // published with one seq_cst store, and dropped from the pinned
+  // history only after every hazard slot has moved past it; a merged scan
+  // keeps one alive through its shared_ptr (see the retirement rule).
+  struct Table : std::enable_shared_from_this<Table> {
     std::uint64_t version = 0;
     /// Snapshot-clock value when this table was published.  Shard migration
     /// restamps moved values at copy time, so a snapshot pinned at V must
@@ -697,7 +690,7 @@ class ShardedOakCoreMap {
     /// the clock never goes backwards.
     std::uint64_t born = 0;
     ShardRouter<Compare> router;
-    std::vector<std::shared_ptr<Core>> cores;
+    std::vector<Core*> cores;  ///< owned by cores_, alive as long as the map
     // Sealed write range [sealLo, sealHi) — writers spin, readers proceed.
     // nullopt bounds mean -inf / +inf.
     bool sealed = false;
@@ -799,19 +792,10 @@ class ShardedOakCoreMap {
     return KeyedEntry{toVec(e.key), OakRBuffer::forValue(e.value)};
   }
 
-  // -------------------------------------------------- publish / prune --
-  Table* publishLocked(std::unique_ptr<Table> t) OAK_REQUIRES(mgmtMu_) {
-    t->version = tables_.empty()
-                     ? 1
-                     : table_.load(std::memory_order_relaxed)->version + 1;
+  // ------------------------------------------------ publish / retire --
+  Table* publishLocked(std::shared_ptr<Table> t) OAK_REQUIRES(mgmtMu_) {
+    t->version = tables_.empty() ? 1 : tables_.back()->version + 1;
     t->born = snapDomain_.now();
-    // Raise the history flag BEFORE the new table becomes reachable: a
-    // snapshot scan that hazard-pins the new table and then loads the flag
-    // (both seq_cst) is therefore guaranteed to see it raised and divert to
-    // the version-resolved path while superseded layouts may still matter.
-    if (!tables_.empty()) {
-      historyRetained_.store(true, std::memory_order_seq_cst);
-    }
     Table* p = t.get();
     tables_.push_back(std::move(t));
     table_.store(p, std::memory_order_seq_cst);
@@ -832,86 +816,95 @@ class ShardedOakCoreMap {
     }
   }
 
-  /// Frees superseded tables; cores that left the layout move to the
-  /// zombie list so outstanding OakRBuffer views stay valid for the map's
-  /// lifetime (scans hold their own shared_ptr and do not need this).
-  ///
-  /// Superseded tables are NOT freed while a snapshot pin may still resolve
-  /// to them: table T's validity window is [T.born, successor.born), so T
-  /// stays until successor.born <= minPinned() — i.e. every open snapshot
-  /// already reads a version the successor layout serves correctly.  The
-  /// freed set is always a prefix of `tables_` (born is monotone in publish
-  /// order), so the publish-ordered vector survives intact.
-  void pruneLocked() OAK_REQUIRES(mgmtMu_) {
-    Table* cur = table_.load(std::memory_order_relaxed);
-    awaitQuiescentLocked(cur);
-    for (const auto& up : tables_) {
-      if (up.get() == cur) continue;
-      for (const auto& c : up->cores) {
-        bool live = false;
-        for (const auto& cc : cur->cores) {
-          if (cc == c) { live = true; break; }
-        }
-        if (live) continue;
-        bool seen = false;
-        for (const auto& z : zombies_) {
-          if (z == c) { seen = true; break; }
-        }
-        if (!seen) zombies_.push_back(c);
+  /// The retirement pass (file header), run after every layout change and
+  /// in quiesce().  History prune first: a superseded table T serves the
+  /// pins in [T.born, next.born), so it leaves `tables_` once none is open
+  /// (a pin opened later reads at least the published layout's born), and
+  /// stays in `retired_` while a scan holds it.  Then, once a layout has
+  /// left the live set (or a rolled-back copy left keys behind), every core
+  /// is trimmed to the hull of the ranges the live layouts route to it, and
+  /// a core none of them names is emptied and parked in `spare_`.
+  /// Otherwise the pass does no seeks at all.
+  void reclaimLocked() OAK_REQUIRES(mgmtMu_) {
+    awaitQuiescentLocked(table_.load(std::memory_order_relaxed));
+    for (std::size_t i = 0; i + 1 < tables_.size();) {
+      if (snapDomain_.pinnedIn(tables_[i]->born, tables_[i + 1]->born)) {
+        ++i;
+        continue;
       }
+      retired_.emplace_back(tables_[i]);
+      tables_.erase(tables_.begin() + static_cast<std::ptrdiff_t>(i));
     }
-    const std::uint64_t minPin = snapDomain_.minPinned();
-    std::size_t freeUpTo = 0;  // exclusive end of the freeable prefix
-    while (freeUpTo + 1 < tables_.size() &&
-           tables_[freeUpTo + 1]->born <= minPin) {
-      ++freeUpTo;
+    std::vector<std::shared_ptr<const Table>> live(tables_.begin(), tables_.end());
+    const std::size_t expired =
+        std::erase_if(retired_, [&](const std::weak_ptr<const Table>& w) {
+          std::shared_ptr<const Table> t = w.lock();
+          if (t == nullptr) return true;
+          live.push_back(std::move(t));
+          return false;
+        });
+    if (expired == 0 && !trimDue_) return;
+    // trimDue_ stays raised until the trim completes: a remove that runs out
+    // of memory (under a pin it lays a tombstone) leaves the rest to the
+    // next pass.
+    trimDue_ = true;
+    try {
+      for (const auto& up : cores_) {
+        Core* c = up.get();
+        if (std::find(spare_.begin(), spare_.end(), c) != spare_.end()) continue;
+        bool named = false;
+        std::optional<ByteVec> lo, hi;  // hull of c's live ranges; nullopt = unbounded
+        for (const auto& t : live) {
+          for (std::size_t i = 0; i < t->cores.size(); ++i) {
+            if (t->cores[i] != c) continue;
+            std::optional<ByteVec> l = ownedLower(*t, i), h = ownedUpper(*t, i);
+            if (!named || (lo && (!l || cmp_(asBytes(*l), asBytes(*lo)) < 0))) {
+              lo = std::move(l);
+            }
+            if (!named || (hi && (!h || cmp_(asBytes(*h), asBytes(*hi)) > 0))) {
+              hi = std::move(h);
+            }
+            named = true;
+          }
+        }
+        if (!named) {
+          c->removeRange(std::nullopt, std::nullopt);
+          spare_.push_back(c);
+          continue;
+        }
+        if (lo) c->removeRange(std::nullopt, std::move(lo));
+        if (hi) c->removeRange(std::move(hi), std::nullopt);
+      }
+    } catch (const std::bad_alloc&) {
+      return;
     }
-    tables_.erase(tables_.begin(),
-                  tables_.begin() + static_cast<std::ptrdiff_t>(freeUpTo));
-    // Safe to drop the flag once only the published table remains: every
-    // pin that still needed an older layout kept it retained (minPinned
-    // gate above), so reaching size 1 means all open pins — and any pin
-    // opened from here on, whose version is at least the survivor's born —
-    // resolve to the published table.
-    if (tables_.size() == 1) {
-      historyRetained_.store(false, std::memory_order_seq_cst);
-    }
+    trimDue_ = false;
   }
 
-  // ------------------------------------------------------ scan views --
-  /// Value-copy of one table's routing state: the merged scans build
-  /// from this so they never dangle on a pruned Table (cores stay alive via
-  /// the shared_ptrs, boundaries via the router copy).
-  struct ScanTableView {
-    ShardRouter<Compare> router;
-    std::vector<std::shared_ptr<Core>> cores;
-  };
-
-  /// True while a superseded table is retained for open snapshot pins.
-  /// Snapshot scan opens check this (seq_cst) after hazard-pinning the
-  /// published table; false means the published layout serves every pinned
-  /// version, so the open avoids mgmtMu_ and the view copies entirely.
-  bool historyRetained() const noexcept {
-    return historyRetained_.load(std::memory_order_seq_cst);
+  /// An emptied core for a new shard: a parked one when there is one, else
+  /// a fresh core registered for the map's lifetime.
+  Core* takeCoreLocked() OAK_REQUIRES(mgmtMu_) {
+    if (!spare_.empty()) {
+      Core* c = spare_.back();
+      spare_.pop_back();
+      return c;
+    }
+    cores_.push_back(std::make_unique<Core>(shardCfg_, cmp_, svc_.get(), snapDomain_));
+    return cores_.back().get();
   }
 
-  /// The layout that was current at snapshot version `v`.  Shard migration
-  /// (split/merge) restamps moved values at copy time, which makes them
-  /// invisible to pins older than the migration — those pins must keep
-  /// routing through the pre-migration layout, whose cores retain the
-  /// originals as sealed leftovers.  pruneLocked() retains superseded
-  /// tables exactly as long as a pin can resolve to them.
-  ScanTableView snapshotScanView(std::uint64_t v) const {
+  /// The layout that was current at snapshot version `v`: the last retained
+  /// table with born <= v (pinned versions keep theirs retained).  A pin
+  /// older than every retained table only happens when the caller broke
+  /// the snapshotAt contract (pin released); the oldest retained layout is
+  /// the best remaining approximation.
+  std::shared_ptr<const Table> snapshotScanView(std::uint64_t v) const {
     MutexLock lk(mgmtMu_);
-    const Table* best = nullptr;
-    for (const auto& up : tables_) {  // publish order, born monotone
-      if (up->born <= v) best = up.get();
+    std::shared_ptr<const Table> best = tables_.front();
+    for (const auto& t : tables_) {
+      if (t->born <= v) best = t;
     }
-    // A pin older than every retained table can only happen when the
-    // caller broke the snapshotAt contract (pin released); the oldest
-    // retained layout is the best remaining approximation.
-    if (best == nullptr) best = tables_.front().get();
-    return ScanTableView{best->router, best->cores};
+    return best;
   }
 
   // --------------------------------------------------- owned ranges --
@@ -934,14 +927,12 @@ class ShardedOakCoreMap {
 
   template <class F>
   void forEachCoreLocked(F&& f) const OAK_REQUIRES(mgmtMu_) {
-    const Table* t = table_.load(std::memory_order_acquire);
-    for (const auto& c : t->cores) f(*c);
-    for (const auto& z : zombies_) f(*z);
+    for (const auto& c : cores_) f(*c);
   }
 
   // ---------------------------------------------------- split / merge --
-  /// Median key of the shard's *owned* range (leftovers excluded), via two
-  /// clamped passes.  Empty result: too few live entries to split.
+  /// Median key of the shard's *owned* range, via two clamped passes.
+  /// Empty result: too few live entries to split.
   ByteVec pickSplitKey(Core& src, const std::optional<ByteVec>& lo,
                        const std::optional<ByteVec>& hi) {
     std::size_t n = 0;
@@ -952,10 +943,59 @@ class ShardedOakCoreMap {
     return toVec(it.entry().key);
   }
 
+  /// Phase 1 of a migration: republishes `cur`'s layout with [lo, hi)
+  /// sealed for writers and waits until every thread sees the seal — after
+  /// that the range is write-quiescent.
+  void sealLocked(const Table& cur, std::optional<ByteVec> lo,
+                  std::optional<ByteVec> hi) OAK_REQUIRES(mgmtMu_) {
+    auto v = std::make_shared<Table>(cur.router);
+    v->cores = cur.cores;
+    v->sealed = true;
+    v->sealLo = std::move(lo);
+    v->sealHi = std::move(hi);
+    awaitQuiescentLocked(publishLocked(std::move(v)));
+  }
+
+  /// Phase 2: copies src's entries in the sealed range [lo, hi) into dst.
+  /// Values are write-quiescent, so plain reads + puts are a consistent
+  /// snapshot.  Throws on OOM (the caller rolls back).
+  static void copyRange(Core& src, Core& dst, const std::optional<ByteVec>& lo,
+                        const std::optional<ByteVec>& hi) {
+    ByteVec val;
+    for (auto it = src.ascend(lo, hi); it.valid(); it.next()) {
+      auto e = it.entry();
+      val.clear();
+      if (!e.value.read([&](ByteSpan s) { val.assign(s.begin(), s.end()); })) {
+        continue;  // deleted-but-linked: nothing to migrate
+      }
+      dst.put(e.key, asBytes(val));
+    }
+  }
+
+  /// Phase 3: publishes `bounds` over `cores` and retires what it supersedes.
+  void commitLocked(std::vector<ByteVec> bounds, std::vector<Core*> cores)
+      OAK_REQUIRES(mgmtMu_) {
+    auto v = std::make_shared<Table>(
+        ShardRouter<Compare>(ShardLayout::at(std::move(bounds)), cmp_));
+    v->cores = std::move(cores);
+    publishLocked(std::move(v));
+    reclaimLocked();
+  }
+
+  /// OOM during the copy: unseal under the old layout (the migration never
+  /// happened) and let the retirement pass trim the partial copy, which
+  /// lies outside every published range.
+  bool rollbackLocked(const Table& cur) OAK_REQUIRES(mgmtMu_) {
+    cur.cores.front()->statsRegistry().incCounter(obs::Counter::ShardMgmtFailed);
+    trimDue_ = true;
+    commitLocked(boundsOf(cur), cur.cores);
+    return false;
+  }
+
   bool splitLocked(std::size_t idx, ByteVec mid) OAK_REQUIRES(mgmtMu_) {
-    Table& cur = *table_.load(std::memory_order_relaxed);
+    const Table& cur = *table_.load(std::memory_order_relaxed);
     const std::size_t n = cur.cores.size();
-    if (idx >= n) return false;
+    if (idx >= n || n >= kMaxShards) return false;
     const std::optional<ByteVec> lo = ownedLower(cur, idx);
     const std::optional<ByteVec> hi = ownedUpper(cur, idx);
     if (mid.empty()) mid = pickSplitKey(*cur.cores[idx], lo, hi);
@@ -963,105 +1003,46 @@ class ShardedOakCoreMap {
     if (lo && cmp_(asBytes(mid), asBytes(*lo)) <= 0) return false;
     if (hi && cmp_(asBytes(mid), asBytes(*hi)) >= 0) return false;
 
-    std::shared_ptr<Core> src = cur.cores[idx];
-
-    // Phase 1: seal [mid, hi) for writers and wait until every thread sees
-    // the seal — after that the range is write-quiescent in `src`.
-    {
-      auto v = std::make_unique<Table>(cur.router);
-      v->cores = cur.cores;
-      v->sealed = true;
-      v->sealLo = mid;
-      v->sealHi = hi;
-      awaitQuiescentLocked(publishLocked(std::move(v)));
-    }
-
-    // Phase 2: copy the sealed range into a fresh core.  Values are
-    // write-quiescent, so plain reads + puts are a consistent snapshot.
-    std::shared_ptr<Core> fresh;
+    Core* src = cur.cores[idx];
+    sealLocked(cur, mid, hi);
+    Core* fresh = nullptr;
     try {
-      fresh = makeCore();
-      ByteVec val;
-      for (auto it = src->ascend(mid, hi); it.valid(); it.next()) {
-        auto e = it.entry();
-        val.clear();
-        if (!e.value.read([&](ByteSpan s) { val.assign(s.begin(), s.end()); })) {
-          continue;  // deleted-but-linked: nothing to migrate
-        }
-        fresh->put(e.key, asBytes(val));
-      }
+      fresh = takeCoreLocked();
+      copyRange(*src, *fresh, mid, hi);
     } catch (const std::bad_alloc&) {
-      // Roll back: unseal under the old layout; the split never happened.
-      auto v = std::make_unique<Table>(cur.router);
-      v->cores = cur.cores;
-      publishLocked(std::move(v));
-      pruneLocked();
-      return false;
+      return rollbackLocked(cur);
     }
-
-    // Phase 3: publish boundary `mid` with the fresh core owning [mid, hi).
-    // `src` keeps the migrated entries as inert leftovers (see file header).
+    // The fresh core owns [mid, hi); src keeps its migrated copies only
+    // while a live layout still routes there (the retirement rule).
     std::vector<ByteVec> bounds = boundsOf(cur);
     bounds.insert(bounds.begin() + static_cast<std::ptrdiff_t>(idx), mid);
-    auto v = std::make_unique<Table>(
-        ShardRouter<Compare>(ShardLayout::at(std::move(bounds)), cmp_));
-    v->cores = cur.cores;
-    v->cores.insert(v->cores.begin() + static_cast<std::ptrdiff_t>(idx) + 1, fresh);
-    publishLocked(std::move(v));
-    pruneLocked();
+    std::vector<Core*> cores = cur.cores;
+    cores.insert(cores.begin() + static_cast<std::ptrdiff_t>(idx) + 1, fresh);
+    commitLocked(std::move(bounds), std::move(cores));
     src->statsRegistry().incCounter(obs::Counter::ShardSplit);
     return true;
   }
 
   bool mergeLocked(std::size_t idx) OAK_REQUIRES(mgmtMu_) {
-    Table& cur = *table_.load(std::memory_order_relaxed);
+    const Table& cur = *table_.load(std::memory_order_relaxed);
     const std::size_t n = cur.cores.size();
     if (n < 2 || idx + 1 >= n) return false;
     const std::optional<ByteVec> lo = ownedLower(cur, idx);
     const ByteVec b = toVec(cur.router.boundary(idx));
-    std::shared_ptr<Core> absorbed = cur.cores[idx];
-    std::shared_ptr<Core> into = cur.cores[idx + 1];
-
-    // Phase 1: seal the absorbed shard's whole range [lo, b).
-    {
-      auto v = std::make_unique<Table>(cur.router);
-      v->cores = cur.cores;
-      v->sealed = true;
-      v->sealLo = lo;
-      v->sealHi = b;
-      awaitQuiescentLocked(publishLocked(std::move(v)));
-    }
-
-    // Phase 2: copy into the right neighbor.  Leftward absorption only:
-    // `into` never held keys below its owned range, so these puts cannot
-    // alias stale leftovers (which sit *above* a core's owned range).
+    Core* into = cur.cores[idx + 1];
+    sealLocked(cur, lo, b);
     try {
-      ByteVec val;
-      for (auto it = absorbed->ascend(lo, b); it.valid(); it.next()) {
-        auto e = it.entry();
-        val.clear();
-        if (!e.value.read([&](ByteSpan s) { val.assign(s.begin(), s.end()); })) {
-          continue;
-        }
-        into->put(e.key, asBytes(val));
-      }
+      // Leftward absorption: `into` never holds live keys below its owned
+      // range, so these puts never meet stale copies.
+      copyRange(*cur.cores[idx], *into, lo, b);
     } catch (const std::bad_alloc&) {
-      auto v = std::make_unique<Table>(cur.router);
-      v->cores = cur.cores;
-      publishLocked(std::move(v));
-      pruneLocked();
-      return false;
+      return rollbackLocked(cur);
     }
-
-    // Phase 3: drop boundary idx; the absorbed core becomes a zombie.
     std::vector<ByteVec> bounds = boundsOf(cur);
     bounds.erase(bounds.begin() + static_cast<std::ptrdiff_t>(idx));
-    auto v = std::make_unique<Table>(
-        ShardRouter<Compare>(ShardLayout::at(std::move(bounds)), cmp_));
-    v->cores = cur.cores;
-    v->cores.erase(v->cores.begin() + static_cast<std::ptrdiff_t>(idx));
-    publishLocked(std::move(v));
-    pruneLocked();
+    std::vector<Core*> cores = cur.cores;
+    cores.erase(cores.begin() + static_cast<std::ptrdiff_t>(idx));
+    commitLocked(std::move(bounds), std::move(cores));
     into->statsRegistry().incCounter(obs::Counter::ShardMerge);
     return true;
   }
@@ -1075,10 +1056,9 @@ class ShardedOakCoreMap {
     const maint::MaintenanceConfig& mc = shardCfg_.maintenance;
 
     // Per-shard point-op deltas since the last check (counters are
-    // monotone; cores are keyed by address so fresh cores start at 0).
+    // monotone; a fresh core starts at 0, a reused one at its last check).
     std::vector<std::uint64_t> load(n, 0);
     std::uint64_t total = 0;
-    std::map<const void*, std::uint64_t> now;
     for (std::size_t i = 0; i < n; ++i) {
       const obs::RegistrySnapshot s = t->cores[i]->statsRegistry().snapshot();
       std::uint64_t ops = 0;
@@ -1087,21 +1067,18 @@ class ShardedOakCoreMap {
             obs::Op::PutIfAbsentCompute, obs::Op::Compute, obs::Op::Remove}) {
         ops += s.op(o).count;
       }
-      const void* key = t->cores[i].get();
-      const auto prev = lastOps_.find(key);
-      load[i] = ops - (prev != lastOps_.end() ? prev->second : 0);
+      std::uint64_t& last = lastOps_[t->cores[i]];
+      load[i] = ops - last;
       total += load[i];
-      now[key] = ops;
+      last = ops;
     }
-    lastOps_.swap(now);
     if (total < kManageMinOps) return false;
 
     std::size_t hot = 0;
     for (std::size_t i = 1; i < n; ++i) {
       if (load[i] > load[hot]) hot = i;
     }
-    if (n < kMaxShards &&
-        static_cast<double>(load[hot]) * static_cast<double>(n) >
+    if (static_cast<double>(load[hot]) * static_cast<double>(n) >
             mc.splitLoadFactor * static_cast<double>(total) &&
         t->cores[hot]->chunkCount() >= mc.minSplitChunks) {
       if (splitLocked(hot, ByteVec{})) return true;
@@ -1258,11 +1235,6 @@ class ShardedOakCoreMap {
         std::memory_order_relaxed);
   }
 
-  /// A shard core running on the shared service and snapshot domain.
-  std::shared_ptr<Core> makeCore() {
-    return std::make_shared<Core>(shardCfg_, cmp_, svc_.get(), snapDomain_);
-  }
-
   void noteOp() {
     if (!autoManage_) return;
     OpTick& slot = opTick_[ThreadRegistry::id()];
@@ -1279,13 +1251,12 @@ class ShardedOakCoreMap {
     }
   }
 
-  // Declaration order is destruction-critical: tables_/zombies_ (the
-  // cores) must be destroyed before svc_ — each core's destructor
-  // detaches from the service.
+  // Declaration order is destruction-critical: cores_ must be destroyed
+  // before svc_ — each core's destructor detaches from the service.
   Compare cmp_;
   OakConfig shardCfg_;  // per-core config (the durable pool injected)
   /// File-backed arena substrate for durable maps (declared before the
-  /// tables so every core is destroyed before its arenas unmap).
+  /// cores so every core is destroyed before its arenas unmap).
   std::unique_ptr<mem::BlockPool> ownedPool_;
   std::unique_ptr<maint::MaintenanceService> svc_;  // null = inline maintenance
   // One snapshot domain for every shard: a merged cross-shard scan pins a
@@ -1295,20 +1266,21 @@ class ShardedOakCoreMap {
   SnapshotDomain snapDomain_;
 
   mutable Mutex mgmtMu_;
-  std::vector<std::unique_ptr<Table>> tables_
-      OAK_GUARDED_BY(mgmtMu_);  // current + not-yet-pruned
-  std::vector<std::shared_ptr<Core>> zombies_
-      OAK_GUARDED_BY(mgmtMu_);  // merged-away cores
+  /// Every core the map has made, kept for the map's lifetime (views never
+  /// dangle); `spare_` holds the emptied ones no live layout names.
+  std::vector<std::unique_ptr<Core>> cores_ OAK_GUARDED_BY(mgmtMu_);
+  std::vector<Core*> spare_ OAK_GUARDED_BY(mgmtMu_);
+  std::vector<std::shared_ptr<Table>> tables_
+      OAK_GUARDED_BY(mgmtMu_);  // published + pinned history
+  std::vector<std::weak_ptr<const Table>> retired_
+      OAK_GUARDED_BY(mgmtMu_);  // pruned; an open scan may still hold one
+  bool trimDue_ OAK_GUARDED_BY(mgmtMu_) = false;  // a rollback left copies
   std::atomic<Table*> table_{nullptr};
-  /// Raised (before publish) whenever a publish supersedes a table, lowered
-  /// by pruneLocked once history is down to the published table alone.
-  /// seq_cst pairs with the pin-then-check in the merged scan constructor.
-  std::atomic<bool> historyRetained_{false};
   mutable std::unique_ptr<GateSlot[]> gate_;
 
   bool autoManage_ = false;
   std::unique_ptr<OpTick[]> opTick_;
-  std::map<const void*, std::uint64_t> lastOps_;  // op counts at last check
+  std::map<const Core*, std::uint64_t> lastOps_;  // op counts at last check
 
   // Durability (src/dur): all null/zero for in-memory maps.  One WAL and
   // one checkpoint stream for the whole map, whatever the shard count.

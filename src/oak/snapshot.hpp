@@ -108,6 +108,15 @@ class SnapshotDomain {
     return pins_.empty() ? kNoPin : pins_.begin()->first;
   }
 
+  /// True when an open snapshot reads a version in [lo, hi), or one is
+  /// mid-open (its sentinel pin stands for a version not yet known).
+  bool pinnedIn(std::uint64_t lo, std::uint64_t hi) const {
+    MutexLock lk(mu_);
+    if (!pins_.empty() && pins_.begin()->first == 0) return true;
+    const auto it = pins_.lower_bound(lo);
+    return it != pins_.end() && it->first < hi;
+  }
+
   std::uint64_t openedCount() const noexcept {
     return opened_.load(std::memory_order_relaxed);
   }

@@ -46,13 +46,15 @@ std::string Metrics::toJson() const {
           ",\"chunk_merge\":%" PRIu64 ",\"op_retries\":%" PRIu64
           ",\"resource_exhausted\":%" PRIu64 ",\"fault_injected\":%" PRIu64
           ",\"shard_split\":%" PRIu64 ",\"shard_merge\":%" PRIu64
+          ",\"shard_mgmt_failed\":%" PRIu64
           "},\"chunks\":%" PRIu64 ",\"shards\":%" PRIu64 ",",
           rebalances, registry.counter(Counter::ChunkSplit),
           registry.counter(Counter::ChunkMerge),
           registry.counter(Counter::OpRetries),
           registry.counter(Counter::ResourceExhausted), faultInjected,
           registry.counter(Counter::ShardSplit),
-          registry.counter(Counter::ShardMerge), chunkCount, shards);
+          registry.counter(Counter::ShardMerge),
+          registry.counter(Counter::ShardMgmtFailed), chunkCount, shards);
 
   appendf(j,
           "\"maint\":{\"queued\":%" PRIu64 ",\"executed\":%" PRIu64
@@ -166,12 +168,13 @@ std::string Metrics::toText() const {
             "  maintenance: threads=%" PRIu64 " queued=%" PRIu64
             " executed=%" PRIu64 " inline-fallback=%" PRIu64
             " pending=%" PRIu64 " throttled=%" PRIu64 "ms shard-splits=%" PRIu64
-            " shard-merges=%" PRIu64 "\n",
+            " shard-merges=%" PRIu64 " shard-mgmt-failed=%" PRIu64 "\n",
             maintThreads, registry.counter(Counter::MaintQueued),
             registry.counter(Counter::MaintExecuted),
             registry.counter(Counter::MaintInlineFallback), maintPending,
             maintThrottledMs, registry.counter(Counter::ShardSplit),
-            registry.counter(Counter::ShardMerge));
+            registry.counter(Counter::ShardMerge),
+            registry.counter(Counter::ShardMgmtFailed));
   }
   appendf(t,
           "  off-heap: footprint=%zuB in-use=%zuB fragmented=%zuB "

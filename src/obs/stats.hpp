@@ -74,6 +74,7 @@ enum class Counter : std::uint32_t {
   MaintInlineFallback,///< queue-full (or blocking) requests run inline instead
   ShardSplit,         ///< online shard split published a new layout
   ShardMerge,         ///< online shard merge retired a boundary
+  ShardMgmtFailed,    ///< shard split/merge rolled back on OOM (layout unchanged)
   SnapshotOpened,     ///< snapshot scans that pinned a fresh read version
   VersionsRetired,    ///< chain nodes + tombstones reclaimed by version GC
   EvacuationRuns,     ///< compactNow() passes (triggered or explicit)
@@ -95,6 +96,7 @@ inline const char* counterName(Counter c) noexcept {
     case Counter::MaintInlineFallback: return "maint_inline_fallback";
     case Counter::ShardSplit: return "shard_split";
     case Counter::ShardMerge: return "shard_merge";
+    case Counter::ShardMgmtFailed: return "shard_mgmt_failed";
     case Counter::SnapshotOpened: return "snapshot_opened";
     case Counter::VersionsRetired: return "versions_retired";
     case Counter::EvacuationRuns: return "evacuation_runs";

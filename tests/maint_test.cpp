@@ -519,8 +519,8 @@ TEST(MaintSharded, ExplicitSplitMergeRoundtripPreservesData) {
   EXPECT_GE(map.stats().registry.counter(obs::Counter::ShardSplit), 1u);
   EXPECT_GE(map.stats().registry.counter(obs::Counter::ShardMerge), 1u);
 
-  // Merged scans stay totally ordered and complete despite the leftovers
-  // the split left behind in the source shard.
+  // Merged scans stay totally ordered and complete across the split and
+  // the merge.
   std::uint64_t expect = 0;
   for (auto it = map.ascend(); it.valid(); it.next(), ++expect) {
     EXPECT_EQ(loadU64BE(it.entry().key.data()), expect);

@@ -7,7 +7,8 @@
 // range, whole-map scans come out globally sorted across shard boundaries,
 // the BasicOakMap typed facade works unchanged over the sharded core, and
 // stats() folds per-shard snapshots into one whole-map view that keeps the
-// per-arena vector.
+// per-arena vector, and split/merge retire superseded shard state (emptied
+// cores are reused; views into trimmed copies fail cleanly).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -342,6 +343,170 @@ TEST(ShardedTypedMap, ZeroCopyScansMergeSorted) {
   for (std::uint64_t k : zc.keySet()) {
     EXPECT_EQ(k, expect++);
   }
+}
+
+// ----------------------------------------------------- shard retirement
+// One retirement rule (sharded_map.hpp): a core keeps only the keys some
+// live layout routes to it, and a core no live layout names is emptied and
+// reused by the next split.
+using Core = OakCoreMap<BytesComparator>;
+
+/// One shard on `pool`.
+ShardedOakCoreMap<> retireMap(mem::BlockPool& pool,
+                              ValueReclaim reclaim = ValueReclaim::KeepHeaders) {
+  return ShardedOakCoreMap<>(ShardedOakConfig{OakConfig{}.withChunkCapacity(16).withMem(
+      MemConfig{}.withPool(&pool).withReclaim(reclaim))});
+}
+
+void fillU64(ShardedOakCoreMap<>& map, std::uint64_t keys) {
+  for (std::uint64_t k = 0; k < keys; ++k) {
+    map.put(asBytes(keyOf(k)), asBytes(valOf(k)));
+  }
+}
+
+std::uint64_t u64Of(const OakRBuffer& b) {
+  return loadUnaligned<std::uint64_t>(b.toVecCopy().data());
+}
+
+void runSplitMergeCycles(ValueReclaim reclaim) {
+  constexpr std::uint64_t kKeys = 64;
+  constexpr int kCycles = 5000;
+  mem::BlockPool pool(mem::BlockPool::Config{.blockBytes = 64u << 10});
+  auto map = retireMap(pool, reclaim);
+  fillU64(map, kKeys);
+  std::size_t acquiredAt10 = 0;
+  for (int c = 1; c <= kCycles; ++c) {
+    ASSERT_TRUE(map.splitShardAt(0, keyOf(kKeys / 2))) << "cycle " << c;
+    ASSERT_TRUE(map.mergeShards(0)) << "cycle " << c;
+    if (c == 10) acquiredAt10 = pool.acquiredBytes();
+  }
+  // The merged-away core is emptied and reused by the next split: never
+  // more cores than the peak shard count.
+  EXPECT_LE(map.stats().arenas.size(), 2u);
+  EXPECT_EQ(map.sizeSlow(), kKeys);
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    EXPECT_EQ(u64Of(*map.get(asBytes(keyOf(k)))), k);
+  }
+  if (reclaim == ValueReclaim::Generational) {
+    EXPECT_EQ(pool.acquiredBytes(), acquiredAt10);
+  } else {
+    // Immortal headers: each migration leaves one behind per value (plus
+    // its slice header in checked builds), and nothing else accumulates.
+    constexpr std::size_t kHeaderCost =
+        detail::kValueHeaderBytes + (OAK_CHECKED ? 16 : 0);
+    EXPECT_LE(pool.acquiredBytes() - acquiredAt10,
+              (kCycles - 10) * kKeys * kHeaderCost + 2 * pool.blockBytes());
+  }
+}
+
+TEST(ShardRetirement, SplitMergeCyclesReuseCores) {
+  runSplitMergeCycles(ValueReclaim::KeepHeaders);
+}
+
+TEST(ShardRetirement, SplitMergeCyclesReuseCoresGenerational) {
+  runSplitMergeCycles(ValueReclaim::Generational);
+}
+
+TEST(ShardRetirement, MigratedViewsFailCleanly) {
+  for (const ValueReclaim reclaim :
+       {ValueReclaim::KeepHeaders, ValueReclaim::Generational}) {
+    mem::BlockPool pool(mem::BlockPool::Config{.blockBytes = 1u << 20});
+    auto map = retireMap(pool, reclaim);
+    fillU64(map, 64);
+    // Key 40 migrates in the split, key 10 in the merge; both are then
+    // overwritten in their new core.
+    std::optional<OakRBuffer> splitView = map.get(asBytes(keyOf(40)));
+    ASSERT_TRUE(map.splitShardAt(0, keyOf(32)));
+    map.put(asBytes(keyOf(40)), asBytes(valOf(4000)));
+    std::optional<OakRBuffer> mergeView = map.get(asBytes(keyOf(10)));
+    ASSERT_TRUE(map.mergeShards(0));
+    map.put(asBytes(keyOf(10)), asBytes(valOf(1000)));
+    map.quiesce();
+    ASSERT_TRUE(splitView && mergeView);
+    EXPECT_THROW(splitView->toVecCopy(), ConcurrentModification);
+    EXPECT_THROW(mergeView->toVecCopy(), ConcurrentModification);
+    EXPECT_EQ(u64Of(*map.get(asBytes(keyOf(40)))), 4000u);
+    EXPECT_EQ(u64Of(*map.get(asBytes(keyOf(10)))), 1000u);
+  }
+}
+
+TEST(ShardRetirement, OpenScansKeepTheirLayout) {
+  constexpr std::uint64_t kKeys = 64;
+  mem::BlockPool pool(mem::BlockPool::Config{.blockBytes = 1u << 20});
+  auto map = retireMap(pool);
+  fillU64(map, kKeys);
+  Core* original = &map.shard(0);
+  {
+    auto live = map.ascend();
+    auto snap = map.ascend(std::nullopt, std::nullopt, ScanOptions::snapshot());
+    ASSERT_TRUE(live.valid() && snap.valid());
+    ASSERT_TRUE(map.splitShardAt(0, keyOf(32)));
+    ASSERT_TRUE(map.mergeShards(0));  // the original core is merged away
+    ASSERT_TRUE(map.splitShardAt(0, keyOf(16)));
+    ASSERT_TRUE(map.mergeShards(0));
+    ASSERT_TRUE(map.splitShardAt(0, keyOf(48)));
+    map.quiesce();  // both scans still hold the pre-migration layout
+    for (auto* it : {&live, &snap}) {
+      std::uint64_t expect = 0;
+      for (; it->valid(); it->next(), ++expect) {
+        EXPECT_EQ(loadU64BE(it->entry().key.data()), expect);
+      }
+      EXPECT_EQ(expect, kKeys);
+    }
+  }
+  map.quiesce();
+  ASSERT_EQ(map.shardCount(), 2u);
+  const std::uint64_t owned[] = {48, kKeys - 48};
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(map.shard(i).sizeSlow(), owned[i]) << "shard " << i;
+  }
+  EXPECT_EQ(original->sizeSlow(), 0u);
+  EXPECT_EQ(map.sizeSlow(), kKeys);
+}
+
+TEST(ShardRetirement, FailedSplitRollsBackAndCounts) {
+  // Five 64 KiB arenas: the source takes three (two for the 1 KiB
+  // payloads, one for value headers), so the copy of 80 KiB into a fresh
+  // core runs out part-way.
+  mem::BlockPool pool(mem::BlockPool::Config{.blockBytes = 64u << 10,
+                                             .budgetBytes = 5 * (64u << 10)});
+  auto map = retireMap(pool);
+  constexpr std::uint64_t kKeys = 96;
+  const auto payload = [](std::uint64_t k) { return ByteVec(1024, std::byte(k)); };
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    map.put(asBytes(keyOf(k)), asBytes(payload(k)));
+  }
+  EXPECT_FALSE(map.splitShardAt(0, keyOf(16)));
+  const obs::Metrics m = map.stats();
+  EXPECT_EQ(m.registry.counter(obs::Counter::ShardMgmtFailed), 1u);
+  EXPECT_EQ(m.registry.counter(obs::Counter::ShardSplit), 0u);
+  EXPECT_NE(m.toJson().find("\"shard_mgmt_failed\":1"), std::string::npos);
+  // Layout and contents unchanged.
+  EXPECT_EQ(map.shardCount(), 1u);
+  EXPECT_EQ(map.sizeSlow(), kKeys);
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    EXPECT_EQ(map.getCopy(asBytes(keyOf(k))), payload(k)) << "key " << k;
+  }
+  // The partly filled core was emptied: its payloads went back to its free
+  // list (only immortal headers and dead entries' keys remain).
+  ASSERT_EQ(m.arenas.size(), 2u);
+  EXPECT_GT(m.arenas[1].allocCount, 16u);
+  EXPECT_LT(m.arenas[1].allocatedBytes, 16u << 10);
+}
+
+TEST(ShardRetirement, ExplicitSplitsStopAtMaxShards) {
+  constexpr std::size_t kMax = ShardedOakCoreMap<>::kMaxShards;
+  auto map = smallMap(kMax, 4 * kMax);
+  for (std::uint64_t k = 0; k < 4 * kMax; ++k) {
+    map.put(asBytes(keyOf(k)), asBytes(valOf(k)));
+  }
+  EXPECT_FALSE(map.splitShardAt(0, keyOf(2)));
+  EXPECT_FALSE(map.splitShard(kMax - 1));
+  EXPECT_EQ(map.shardCount(), kMax);
+  ASSERT_TRUE(map.mergeShards(0));
+  EXPECT_TRUE(map.splitShardAt(0, keyOf(4)));
+  EXPECT_EQ(map.shardCount(), kMax);
+  EXPECT_EQ(map.sizeSlow(), 4 * kMax);
 }
 
 }  // namespace

@@ -250,8 +250,8 @@ TEST(SnapshotOracle, TombstoneInvisibleNowButVisibleToOlderPin) {
 
 // Regression: shard migration (split/merge) restamps moved values at copy
 // time, so a pin older than the migration cannot see the copies — it must
-// keep routing through the pre-migration layout, whose cores retain the
-// originals as sealed leftovers (table-history retention in sharded_map).
+// keep routing through the pre-migration layout, whose cores keep the
+// originals while that layout is live (the retirement rule in sharded_map).
 // Without it this scan comes back partially or completely empty.
 TEST(SnapshotOracle, PinnedScanSurvivesShardSplitAndMerge) {
   Map map = makeMap(2);
@@ -299,9 +299,12 @@ TEST(SnapshotOracle, PinnedScanSurvivesShardSplitAndMerge) {
 // ---------------------------------------------------------------------------
 
 void runConcurrentFuzz(std::size_t shards, std::uint64_t seed, int scansPerThread) {
-  SCOPED_TRACE("shards=" + std::to_string(shards) + " seed=" +
-               std::to_string(seed) + " (replay: OAK_MODEL_SEED=" +
-               std::to_string(seed) + ")");
+  // SCOPED_TRACE does not reach the scanner threads, so their assertions
+  // carry this context themselves.
+  const std::string where = "shards=" + std::to_string(shards) + " seed=" +
+                            std::to_string(seed) + " (replay: OAK_MODEL_SEED=" +
+                            std::to_string(seed) + ")";
+  SCOPED_TRACE(where);
   constexpr std::uint64_t kBedrock = 16;  // keys [0,16) never touched again
   Map map = makeMap(shards);
   for (std::uint64_t k = 0; k < kBedrock; ++k) {
@@ -332,11 +335,13 @@ void runConcurrentFuzz(std::size_t shards, std::uint64_t seed, int scansPerThrea
           });
           break;
       }
-      commits.fetch_add(1, std::memory_order_relaxed);
+      commits.fetch_add(1, std::memory_order_release);
     }
   };
 
   auto scanner = [&](std::uint64_t tseed) {
+    // Scan only once the mutators commit, so every pin races real churn.
+    while (commits.load(std::memory_order_acquire) == 0) std::this_thread::yield();
     XorShift rng(tseed);
     for (int round = 0; round < scansPerThread; ++round) {
       Snapshot snap = map.openSnapshot();
@@ -345,19 +350,19 @@ void runConcurrentFuzz(std::size_t shards, std::uint64_t seed, int scansPerThrea
       auto pass1 = drain(map, ScanOptions::snapshotAt(snap.version(), dir));
       auto pass2 = drain(map, ScanOptions::snapshotAt(snap.version(), dir));
       // Frozen world: the same pin yields the same bytes, churn or not.
-      ASSERT_EQ(pass1, pass2) << "round " << round << " v=" << snap.version();
+      ASSERT_EQ(pass1, pass2) << where << " round " << round << " v=" << snap.version();
       // Globally sorted, no duplicates, every payload tagged with its key.
       for (std::size_t i = 0; i < pass1.size(); ++i) {
         if (i > 0) {
-          ASSERT_LT(pass1[i - 1].first, pass1[i].first);
+          ASSERT_LT(pass1[i - 1].first, pass1[i].first) << where;
         }
-        ASSERT_EQ(keyTag(pass1[i].second), pass1[i].first);
+        ASSERT_EQ(keyTag(pass1[i].second), pass1[i].first) << where;
       }
       // Bedrock keys are immutable: all present, original payloads.
-      ASSERT_GE(pass1.size(), kBedrock);
+      ASSERT_GE(pass1.size(), kBedrock) << where;
       for (std::uint64_t k = 0; k < kBedrock; ++k) {
-        ASSERT_EQ(pass1[k].first, k) << "bedrock hole";
-        ASSERT_EQ(pass1[k].second, k << 40) << "bedrock payload";
+        ASSERT_EQ(pass1[k].first, k) << where << " bedrock hole";
+        ASSERT_EQ(pass1[k].second, k << 40) << where << " bedrock payload";
       }
     }
   };
