@@ -105,7 +105,7 @@ void Wal::openSegmentLocked(std::uint64_t seq) {
   syncFd_.store(fd, std::memory_order_relaxed);
 }
 
-void Wal::append(std::uint8_t type, ByteSpan key, ByteSpan value) {
+std::uint64_t Wal::append(std::uint8_t type, ByteSpan key, ByteSpan value) {
   const std::uint32_t klen = static_cast<std::uint32_t>(key.size());
   const std::uint32_t payloadLen =
       1 + 4 + klen + static_cast<std::uint32_t>(value.size());
@@ -134,14 +134,14 @@ void Wal::append(std::uint8_t type, ByteSpan key, ByteSpan value) {
     ticket = lastTicket_.load(std::memory_order_relaxed) + 1;
     lastTicket_.store(ticket, std::memory_order_release);
     buf_.insert(buf_.end(), rec, rec + recBytes);
-    // EveryCommit: the fdatasync below dominates, no point batching.
-    if (opts_.policy == FsyncPolicy::EveryCommit || buf_.size() >= kFlushBytes) {
-      flushLocked();
-    }
+    if (buf_.size() >= kFlushBytes) flushLocked();
     segBytes_.fetch_add(recBytes, std::memory_order_relaxed);
   }
   bytes_.fetch_add(recBytes, std::memory_order_relaxed);
+  return ticket;
+}
 
+void Wal::commit(std::uint64_t ticket) {
   switch (opts_.policy) {
     case FsyncPolicy::Never:
       break;

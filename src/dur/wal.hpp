@@ -1,8 +1,9 @@
 // Write-ahead log (DESIGN.md §12).
 //
-// Durable maps append one record per acknowledged mutation *after* the
-// operation linearizes in memory and *before* the call returns — the commit
-// point is the append (plus the fsync the configured policy demands).
+// Durable maps append one record per acknowledged mutation — the full
+// post-image or tombstone the operation linearized, under the key's write
+// stripe — and commit() it (the fsync the policy demands) before the call
+// returns.  The commit point is that append plus its commit.
 // Records are length-prefixed and CRC32C-guarded:
 //
 //   [u32 crc over the rest] [u32 payloadLen] [u8 type] [u32 klen] [key] [value]
@@ -20,11 +21,12 @@
 //   EveryCommit  every append is durable before it is acknowledged, with
 //                group commit: concurrent appenders share one fdatasync
 //
-// Under Never/Interval, appends land in a user-space group-commit buffer
-// and reach the kernel in batched write()s (threshold, sync, rotate, or
-// close) — the hot path pays a memcpy, not a syscall.  A crash can lose
-// the unflushed batch, which those policies already permit; EveryCommit
-// bypasses the buffer entirely (write + shared fdatasync per append).
+// Appends land in a user-space group-commit buffer and reach the kernel in
+// batched write()s (threshold, sync, commit under EveryCommit, rotate, or
+// close) — append pays a memcpy, not a syscall.  Under Never/Interval a
+// crash can lose the unflushed batch, which those policies already permit;
+// under EveryCommit commit() writes the batch and shares one fdatasync
+// with every concurrent committer.
 //
 // rotate() closes the segment and runs a caller hook under the append
 // mutex; the checkpointer opens its snapshot inside that hook, which is the
@@ -84,10 +86,14 @@ class Wal {
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Appends one record and blocks until it is durable per the policy.
-  /// Throws OakIoError if the write or sync fails.
-  void appendPut(ByteSpan key, ByteSpan value) { append(kWalPut, key, value); }
-  void appendRemove(ByteSpan key) { append(kWalRemove, key, {}); }
+  /// append() adds one record (kWalPut/kWalRemove) to the group-commit
+  /// batch and returns its ticket; commit(ticket) then waits as the policy
+  /// demands (a shared fdatasync under EveryCommit, one per window under
+  /// Interval).  Both throw OakIoError if a write or sync fails.
+  std::uint64_t append(std::uint8_t type, ByteSpan key, ByteSpan value);
+  void commit(std::uint64_t ticket);
+  void appendPut(ByteSpan key, ByteSpan value) { commit(append(kWalPut, key, value)); }
+  void appendRemove(ByteSpan key) { commit(append(kWalRemove, key, {})); }
 
   /// Atomically (under the append mutex): syncs and closes the current
   /// segment, opens segment currentSeq()+1, then runs `atHandoff`.  Because
@@ -108,7 +114,6 @@ class Wal {
   /// Buffered bytes that trigger a batched write() under Never/Interval.
   static constexpr std::size_t kFlushBytes = 256u << 10;
 
-  void append(std::uint8_t type, ByteSpan key, ByteSpan value);
   void openSegmentLocked(std::uint64_t seq) OAK_REQUIRES(mu_);
   void flushLocked() OAK_REQUIRES(mu_);
   void syncUpTo(std::uint64_t ticket);

@@ -271,15 +271,6 @@ class OakCoreMap {
   /// is charged to the managed heap like the Java object it stands for.
   std::optional<ByteVec> getCopy(ByteSpan key) {
     obs::OpTimer t(stats_, obs::Op::GetCopy);
-    std::optional<ByteVec> out = copyValue(key);
-    if (out) metaHeap_.ephemeralObject(out->size() + cfg_.ephemeralViewBytes);
-    return out;
-  }
-
-  /// getCopy without the op count and the managed-heap charge: for internal
-  /// read-backs that are part of another operation (the front end's WAL
-  /// record of a compute's post-image).
-  std::optional<ByteVec> copyValue(ByteSpan key) {
     sync::Ebr::Guard g(ebr_);
     const std::uint64_t v = findValueRef(key);
     if (v == 0) return std::nullopt;
@@ -288,6 +279,7 @@ class OakCoreMap {
                         .read([&](ByteSpan s) { out.emplace(s.begin(), s.end()); },
                               &snapCtx_);
     if (!ok) return std::nullopt;
+    metaHeap_.ephemeralObject(out->size() + cfg_.ephemeralViewBytes);
     return out;
   }
 
@@ -384,12 +376,29 @@ class OakCoreMap {
   }
 
   /// Removes every key in [lo, hi) through the remove protocol, as internal
-  /// work (no op count, no view charge): the map front end trims keys no
-  /// live shard layout routes to this core.
+  /// work (no op count): the map front end trims keys no live shard layout
+  /// routes to this core.
   void removeRange(std::optional<ByteVec> lo, std::optional<ByteVec> hi) {
     for (auto it = ascend(std::move(lo), std::move(hi), ScanOptions::streaming());
-         it.valid(); it.next()) {
+         it.valid(); it.step()) {
       doIfPresent(it.entry().key, nullptr, IfPresentOp::Remove, nullptr);
+    }
+  }
+
+  /// Inserts every live entry `src` holds in [lo, hi) through the put
+  /// protocol, as internal work (no op count): the map front end migrates a
+  /// write-sealed range into this core.  Throws on OOM (the caller rolls
+  /// back).
+  void copyRange(OakCoreMap& src, const std::optional<ByteVec>& lo,
+                 const std::optional<ByteVec>& hi) {
+    ByteVec val;
+    for (auto it = src.ascend(lo, hi, ScanOptions::streaming()); it.valid(); it.step()) {
+      const EntryView e = it.entry();
+      val.clear();
+      if (!e.value.read([&](ByteSpan s) { val.assign(s.begin(), s.end()); })) {
+        continue;  // deleted-but-linked: nothing to migrate
+      }
+      doPut(e.key, asBytes(val), nullptr, PutOp::Put, nullptr, nullptr);
     }
   }
 
@@ -421,14 +430,17 @@ class OakCoreMap {
     /// Non-zero on snapshot scans: the pinned read version.  Value reads
     /// must then go through readValue() so chained versions resolve.
     std::uint64_t snapshotVersion = 0;
+    /// The core's MVCC context: readValue help-stamps a pending value, as a
+    /// point read does.
+    const detail::SnapCtx* snap = nullptr;
 
     /// Reads the value as of the scan's view: the chain version at
     /// snapshotVersion for snapshot scans, the live payload otherwise.
     template <class F>
     bool readValue(F&& f) const {
       return snapshotVersion != 0
-                 ? value.readAt(snapshotVersion, std::forward<F>(f))
-                 : value.read(std::forward<F>(f));
+                 ? value.readAt(snapshotVersion, std::forward<F>(f), snap)
+                 : value.read(std::forward<F>(f), snap);
     }
   };
 
@@ -452,7 +464,7 @@ class OakCoreMap {
     EntryView entry() const {
       return EntryView{chunk_->keyAt(cur_),
                        detail::ValueCell(map_->mm_, detail::VRef{curVal_}),
-                       snapV_};
+                       snapV_, &map_->snapCtx_};
     }
 
    protected:
@@ -476,7 +488,7 @@ class OakCoreMap {
     /// pinned versions is still absent *now*.
     bool entryLive(std::uint64_t v) const {
       detail::ValueCell cell(map_->mm_, detail::VRef{v});
-      return snapV_ != 0 ? cell.visibleAt(snapV_)
+      return snapV_ != 0 ? cell.visibleAt(snapV_, &map_->snapCtx_)
                          : cell.livenessProbe() == detail::Liveness::Live;
     }
 
@@ -516,8 +528,7 @@ class OakCoreMap {
 
     void next() {
       map_->stats_.add(obs::Op::ScanNext);
-      cur_ = chunk_->entry(cur_).next.load(std::memory_order_acquire);
-      advanceToLive();
+      step();
     }
 
     /// Warm seek: repositions at the first key >= probe, reusing the
@@ -543,6 +554,13 @@ class OakCoreMap {
     }
 
    private:
+    friend OakCoreMap;  // internal walks (removeRange, copyRange) step uncounted
+
+    void step() {
+      cur_ = chunk_->entry(cur_).next.load(std::memory_order_acquire);
+      advanceToLive();
+    }
+
     void advanceToLive() {
       for (;;) {
         while (cur_ == ChunkT::kNone) {

@@ -64,7 +64,9 @@
 // (oak/map.hpp) are the same BasicOakMap over it, and a plain OakConfig
 // means a 1-shard map.  It is also the only owner of durability (DESIGN.md
 // §12): one WAL, one checkpoint stream and one manifest for the whole map,
-// whatever the shard count; the shard cores always run in memory.
+// whatever the shard count; the shard cores always run in memory.  Every
+// write logs through one path (durableWrite), in per-key linearization
+// order; shard migration and retirement trims write nothing to the WAL.
 #pragma once
 
 #include <algorithm>
@@ -86,6 +88,7 @@
 #include "common/spin.hpp"
 #include "common/thread_registry.hpp"
 #include "dur/checkpoint.hpp"
+#include "dur/crc32c.hpp"
 #include "dur/wal.hpp"
 #include "maint/maintenance.hpp"
 #include "oak/core_map.hpp"
@@ -238,69 +241,84 @@ class ShardedOakCoreMap {
     return readOp(key, [&](Core& c) { return c.containsKey(key); });
   }
 
-  // The WAL hooks fire after the routed operation linearizes, before the
-  // call returns (see "durability" below).  All are no-ops when wal_ is
-  // null — in-memory maps and recovery replay.
+  // Every write goes through durableWrite (see "durability" below), which
+  // logs the record the routed op produced: the argument value, a remove
+  // tombstone, or a compute's post-image.
   bool put(ByteSpan key, ByteSpan value, ByteVec* old = nullptr) {
-    const bool replaced = writeOp(key, [&](Core& c) { return c.put(key, value, old); });
-    walLogPut(key, value);
-    return replaced;
+    return durableWrite(key, [&](Core& c, auto& log) {
+      const bool replaced = c.put(key, value, old);
+      log(dur::kWalPut, value);
+      return replaced;
+    });
   }
   bool putIfAbsent(ByteSpan key, ByteSpan value) {
-    const bool ok = writeOp(key, [&](Core& c) { return c.putIfAbsent(key, value); });
-    if (ok) walLogPut(key, value);
-    return ok;
+    return durableWrite(key, [&](Core& c, auto& log) {
+      const bool ok = c.putIfAbsent(key, value);
+      if (ok) log(dur::kWalPut, value);
+      return ok;
+    });
   }
   template <class F>
   void putIfAbsentComputeIfPresent(ByteSpan key, ByteSpan value, F&& func) {
-    writeOp(key, [&](Core& c) {
-      c.putIfAbsentComputeIfPresent(key, value, std::forward<F>(func));
+    durableWrite(key, [&](Core& c, auto& log) {
+      bool computed = false;
+      c.putIfAbsentComputeIfPresent(key, value, [&](OakWBuffer& w) {
+        func(w);
+        computed = true;
+        log(dur::kWalPut, w.span());
+      });
+      if (!computed) log(dur::kWalPut, value);
       return true;
     });
-    walLogPostImage(key);
   }
   template <class F>
   bool computeIfPresent(ByteSpan key, F&& func) {
-    const bool ok = writeOp(key, [&](Core& c) {
-      return c.computeIfPresent(key, std::forward<F>(func));
+    return durableWrite(key, [&](Core& c, auto& log) {
+      return c.computeIfPresent(key, [&](OakWBuffer& w) {
+        func(w);
+        log(dur::kWalPut, w.span());
+      });
     });
-    if (ok) walLogPostImage(key);
-    return ok;
   }
   bool remove(ByteSpan key, ByteVec* old = nullptr) {
-    const bool ok = writeOp(key, [&](Core& c) { return c.remove(key, old); });
-    if (ok) walLogRemove(key);
-    return ok;
+    return durableWrite(key, [&](Core& c, auto& log) {
+      const bool ok = c.remove(key, old);
+      if (ok) log(dur::kWalRemove, ByteSpan{});
+      return ok;
+    });
   }
   bool replace(ByteSpan key, ByteSpan value, ByteVec* old = nullptr) {
-    const bool ok =
-        writeOp(key, [&](Core& c) { return c.replace(key, value, old); });
-    if (ok) walLogPut(key, value);
-    return ok;
+    return durableWrite(key, [&](Core& c, auto& log) {
+      const bool ok = c.replace(key, value, old);
+      if (ok) log(dur::kWalPut, value);
+      return ok;
+    });
   }
   bool replaceIf(ByteSpan key, ByteSpan expected, ByteSpan desired) {
-    const bool ok =
-        writeOp(key, [&](Core& c) { return c.replaceIf(key, expected, desired); });
-    if (ok) walLogPut(key, desired);
-    return ok;
+    return durableWrite(key, [&](Core& c, auto& log) {
+      const bool ok = c.replaceIf(key, expected, desired);
+      if (ok) log(dur::kWalPut, desired);
+      return ok;
+    });
   }
 
   /// Degraded-path ops (Status instead of OOM exceptions); one shard each,
   /// so the retry ladder and emergency reserve are the owning shard's.
   Status tryPut(ByteSpan key, ByteSpan value) {
-    const Status s = writeOp(key, [&](Core& c) { return c.tryPut(key, value); });
-    if (s == Status::Ok) walLogPut(key, value);
-    return s;
+    return durableWrite(key, [&](Core& c, auto& log) {
+      const Status s = c.tryPut(key, value);
+      if (s == Status::Ok) log(dur::kWalPut, value);
+      return s;
+    });
   }
   template <class F>
   Status tryCompute(ByteSpan key, F&& func, bool* computed = nullptr) {
-    bool ran = false;
-    const Status s = writeOp(key, [&](Core& c) {
-      return c.tryCompute(key, std::forward<F>(func), &ran);
+    return durableWrite(key, [&](Core& c, auto& log) {
+      return c.tryCompute(key, [&](OakWBuffer& w) {
+        func(w);
+        log(dur::kWalPut, w.span());
+      }, computed);
     });
-    if (computed != nullptr) *computed = ran;
-    if (s == Status::Ok && ran) walLogPostImage(key);
-    return s;
   }
 
   // ==================================================== navigation ==
@@ -545,7 +563,10 @@ class ShardedOakCoreMap {
     // the closed segments was appended — hence version-stamped — before
     // the snapshot opened, so its effect is at or below V and lands in the
     // checkpoint.  Anything after the rotation goes to the new segment and
-    // replays on top.  (§12.3 has the full argument.)
+    // replays on top; a record stamped before the pin but appended after
+    // the rotation is re-applied harmlessly, because it is a full post-image
+    // or a tombstone and every later write to its key follows it in the new
+    // segment (the key's stripe orders them).  (§12.3 has the full argument.)
     std::optional<Snapshot> snap;
     const std::uint64_t newWalSeq =
         wal_->rotate([&] { snap.emplace(snapDomain_); });
@@ -760,12 +781,6 @@ class ShardedOakCoreMap {
   template <class F>
   auto readOp(ByteSpan key, F&& f) {
     noteOp();
-    return routed(key, std::forward<F>(f));
-  }
-
-  /// Runs `f` on the core owning `key`, without counting a user op.
-  template <class F>
-  auto routed(ByteSpan key, F&& f) {
     TableRef t(*this);
     return f(*t->cores[t->router.shardFor(key)]);
   }
@@ -956,22 +971,6 @@ class ShardedOakCoreMap {
     awaitQuiescentLocked(publishLocked(std::move(v)));
   }
 
-  /// Phase 2: copies src's entries in the sealed range [lo, hi) into dst.
-  /// Values are write-quiescent, so plain reads + puts are a consistent
-  /// snapshot.  Throws on OOM (the caller rolls back).
-  static void copyRange(Core& src, Core& dst, const std::optional<ByteVec>& lo,
-                        const std::optional<ByteVec>& hi) {
-    ByteVec val;
-    for (auto it = src.ascend(lo, hi); it.valid(); it.next()) {
-      auto e = it.entry();
-      val.clear();
-      if (!e.value.read([&](ByteSpan s) { val.assign(s.begin(), s.end()); })) {
-        continue;  // deleted-but-linked: nothing to migrate
-      }
-      dst.put(e.key, asBytes(val));
-    }
-  }
-
   /// Phase 3: publishes `bounds` over `cores` and retires what it supersedes.
   void commitLocked(std::vector<ByteVec> bounds, std::vector<Core*> cores)
       OAK_REQUIRES(mgmtMu_) {
@@ -1007,8 +1006,10 @@ class ShardedOakCoreMap {
     sealLocked(cur, mid, hi);
     Core* fresh = nullptr;
     try {
+      // Phase 2: the sealed range is write-quiescent, so plain reads + puts
+      // copy a consistent image (uncounted, and never logged).
       fresh = takeCoreLocked();
-      copyRange(*src, *fresh, mid, hi);
+      fresh->copyRange(*src, mid, hi);
     } catch (const std::bad_alloc&) {
       return rollbackLocked(cur);
     }
@@ -1034,7 +1035,7 @@ class ShardedOakCoreMap {
     try {
       // Leftward absorption: `into` never holds live keys below its owned
       // range, so these puts never meet stale copies.
-      copyRange(*cur.cores[idx], *into, lo, b);
+      into->copyRange(*cur.cores[idx], lo, b);
     } catch (const std::bad_alloc&) {
       return rollbackLocked(cur);
     }
@@ -1102,41 +1103,31 @@ class ShardedOakCoreMap {
   }
 
   // ----------------------------------------------------- durability --
-  /// WAL hooks, called from the public mutation wrappers after the routed
-  /// operation's in-memory linearization (and version stamp) but before
-  /// the call returns — the append IS the commit point.  Appends are
-  /// serialized by the WAL mutex, so two non-concurrent same-key ops log
-  /// in linearization order; truly concurrent same-key writes may log in
-  /// either order, both valid linearizations (DESIGN.md §12.2).
-  void walLogPut(ByteSpan key, ByteSpan value) {
-    if (wal_ == nullptr) return;
-    wal_->appendPut(key, value);
-    maybeCheckpoint();
-  }
-  void walLogRemove(ByteSpan key) {
-    if (wal_ == nullptr) return;
-    wal_->appendRemove(key);
-    maybeCheckpoint();
-  }
-  /// Compute-style ops mutate in place, so the record is the post-image
-  /// read back after the compute released the value's lock.  A read finding
-  /// the key gone means a concurrent remove won; its remove record covers
-  /// the key, so logging nothing is exact.  KNOWN GAP (DESIGN.md §12.1):
-  /// the read-back and the append are not one atomic step, so two
-  /// overlapping computes on one key can log f2(f1(x)) and then f1(x);
-  /// replay then restores f1(x), which matches neither linearization and
-  /// loses an upsert across reopen.  Closing it needs version-stamped WAL
-  /// records or an append made under the value's header lock.
-  ///
-  /// The read-back is part of the compute, not a user GetCopy: it goes
-  /// through the routed core uncounted (no op, no managed-heap charge, no
-  /// shard-management tick).
-  void walLogPostImage(ByteSpan key) {
-    if (wal_ == nullptr) return;
-    if (auto v = routed(key, [&](Core& c) { return c.copyValue(key); })) {
-      wal_->appendPut(key, asBytes(*v));
+  /// The one durable-write path (DESIGN.md §12.1).  `op(core, log)` runs
+  /// the routed write and calls `log(type, value)` with the record it
+  /// linearized: the argument value, a tombstone, or (from inside the
+  /// compute wrapper, under the value's header lock) a compute's post-image.
+  /// A durable map holds the key's stripe across op and append, so per key
+  /// WAL order = linearization order; the fdatasync wait and checkpoint
+  /// trigger run after it is released.  In-memory maps and recovery replay
+  /// take no stripe.  A compute function must not write to a durable map.
+  template <class Op>
+  auto durableWrite(ByteSpan key, Op&& op) {
+    std::uint64_t ticket = 0;
+    auto log = [&](std::uint8_t type, ByteSpan value) {
+      if (wal_ != nullptr) ticket = wal_->append(type, key, value);
+    };
+    auto run = [&] { return writeOp(key, [&](Core& c) { return op(c, log); }); };
+    if (wal_ == nullptr) return run();
+    auto result = [&] {
+      MutexLock lk(stripes_[dur::crc32c(key) & (kStripes - 1)].mu);
+      return run();
+    }();
+    if (ticket != 0) {
+      wal_->commit(ticket);
       maybeCheckpoint();
     }
+    return result;
   }
 
   /// Auto-checkpoint trigger: when the current WAL segment outgrows the
@@ -1286,6 +1277,9 @@ class ShardedOakCoreMap {
   // one checkpoint stream for the whole map, whatever the shard count.
   std::string durDir_;  // empty = in-memory
   std::unique_ptr<dur::Wal> wal_;  // created after recovery replay
+  static constexpr std::size_t kStripes = 256;  ///< durableWrite's, by crc32c(key)
+  struct alignas(64) Stripe { Mutex mu; };
+  Stripe stripes_[kStripes];
   Mutex cpMu_;  // serializes checkpoints and the manifest generation state
   std::uint64_t cpSeq_ OAK_GUARDED_BY(cpMu_) = 0;
   std::uint64_t walStartSeq_ OAK_GUARDED_BY(cpMu_) = 1;

@@ -28,7 +28,13 @@
 // the clock and swaps it for the real pin after: minPinned() therefore never
 // skips a snapshot that is mid-open, so the version GC (core_map.hpp:
 // collectVersionsNow) cannot reclaim a version an in-flight open is about to
-// pin.  Writers consult activeSnapshots() *after* loading their stamp: if it
+// pin.  With no pin at all minPinned() is the clock itself, never "infinity":
+// a GC pass reads its floor once, and a snapshot that opens after that read
+// gets V >= the floor, so the pass prunes nothing that snapshot needs.  The
+// invariant: a GC floor is <= the version of every pin that can open before
+// the pass ends.
+//
+// Writers consult activeSnapshots() *after* loading their stamp: if it
 // reads 0, every open that could still need the superseded version has its
 // fetch_add ordered after the writer's clock load, hence V >= stamp and the
 // *new* value is the one visible at V — the old version need not be chained.
@@ -51,9 +57,6 @@ namespace oak {
 /// version.
 class SnapshotDomain {
  public:
-  /// minPinned() when no snapshot is open: every version is reclaimable.
-  static constexpr std::uint64_t kNoPin = ~std::uint64_t{0};
-
   SnapshotDomain() = default;
   SnapshotDomain(const SnapshotDomain&) = delete;
   SnapshotDomain& operator=(const SnapshotDomain&) = delete;
@@ -100,12 +103,14 @@ class SnapshotDomain {
     pinnedNs_.fetch_add(heldNs, std::memory_order_relaxed);
   }
 
-  /// Oldest version any open snapshot can still read (kNoPin when none).
+  /// The version-GC floor: the oldest version any open snapshot can still
+  /// read, or the clock when none is open (a later open pins at least that).
   /// A superseded version chained at [dataVersion, supersededAt) is
   /// reclaimable iff minPinned() >= supersededAt.
   std::uint64_t minPinned() const {
     MutexLock lk(mu_);
-    return pins_.empty() ? kNoPin : pins_.begin()->first;
+    return pins_.empty() ? clock_.load(std::memory_order_seq_cst)
+                         : pins_.begin()->first;
   }
 
   /// True when an open snapshot reads a version in [lo, hi), or one is

@@ -473,15 +473,18 @@ class ValueCell {
 
   /// Snapshot read: runs `f` on the payload visible at version `v`, walking
   /// the version chain when the current state is newer.  Returns false when
-  /// the key was absent at `v` (pending, tombstoned at or before v, born
-  /// after v, or deleted — a deleted header is never needed by a pinned
-  /// version, see DESIGN.md §11).
+  /// the key was absent at `v` (tombstoned at or before v, born after v, or
+  /// deleted — a deleted header is never needed by a pinned version, see
+  /// DESIGN.md §11).  With a SnapCtx a pending value is help-stamped first,
+  /// as read() does: its stamp is then > v, so the inserter cannot later
+  /// CAS in a stamp <= v and make a second read at v disagree.
   template <class F>
-  bool readAt(std::uint64_t v, F&& f) const {
+  bool readAt(std::uint64_t v, F&& f, const SnapCtx* sc = nullptr) const {
     sync::ReadGuard g(hdr_->lock);
     if (!g.acquired() || stale()) return false;
+    if (sc != nullptr) const_cast<ValueCell*>(this)->helpStamp(*sc);
     const std::uint64_t ws = hdr_->writeVersion.load(std::memory_order_acquire);
-    if (ws == 0) return false;  // pending: stamps post-open, always > v
+    if (ws == 0) return false;  // pending: absent at v
     const bool tomb =
         (hdr_->flags.load(std::memory_order_acquire) & kTombstone) != 0;
     if (ws <= v) {
@@ -506,8 +509,8 @@ class ValueCell {
   }
 
   /// True iff the key had a live mapping at version `v`.
-  bool visibleAt(std::uint64_t v) const {
-    return readAt(v, [](ByteSpan) {});
+  bool visibleAt(std::uint64_t v, const SnapCtx* sc) const {
+    return readAt(v, [](ByteSpan) {}, sc);
   }
 
   /// Outcome of one version-GC pass over this cell.

@@ -1,7 +1,8 @@
 // Integrated durability coverage (DESIGN.md §12) of the one durable map,
 // ShardedOakCoreMap: recovery round-trips on a 1-shard map (an OakConfig)
 // and on N shards, checkpoint + WAL-tail interaction, torn-tail and
-// bit-flip corruption degrades, and the kill -9 drills.
+// bit-flip corruption degrades, the concurrent write-ordering drill, and the
+// kill -9 drills.
 //
 // The drills follow the acknowledged-writes oracle: a child process opens a
 // durable map with FsyncPolicy::EveryCommit, streams puts, and reports each
@@ -15,12 +16,16 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -155,9 +160,9 @@ TEST(CoreRecovery, RemovesOverwritesAndComputesSurviveReopen) {
   EXPECT_TRUE(ChunkWalker<BytesComparator>::validate(map).ok);
 }
 
-TEST(CoreRecovery, ComputeWalReadBackIsNotAUserGet) {
-  // The WAL logs a compute's post-image by reading it back; that read is
-  // part of the compute and must not show up as a user GetCopy.
+TEST(CoreRecovery, DurableComputeCountsOnlyTheCompute) {
+  // A durable compute logs the post-image it wrote, from inside the compute
+  // under the value's header lock: no read is made, so no GetCopy shows up.
   TempDir dir;
   constexpr int kN = 10;
   {
@@ -280,6 +285,124 @@ TEST(TypedFacade, OpenRecoversAndExposesDurability) {
   auto v = map.get(padKey(42));
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, toVec(bytes(valueFor(42, 't'))));
+}
+
+// =================================================== write-ordering drill
+// Per key, WAL order must equal linearization order (DESIGN.md §12.1).
+// Four writers hammer a few hot keys until a shared stop flag; every key's
+// in-memory value must then equal the value recovered after a clean close
+// and reopen.  A write whose record reached the log before that of a racing
+// write it linearized after would recover a stale value.  Each variant runs
+// OAK_DRILL_ROUNDS rounds (default 20).
+
+enum class DrillWrite { Upsert, Put, Mixed };
+
+struct DrillSpec {
+  DrillWrite write;
+  int keys;
+  std::size_t walBytes = DurConfig{}.walBytes;
+  bool reshard = false;  ///< a splitShardAt/mergeShards loop on 4 shards
+};
+
+std::string drillKey(int k) { return "hot-" + std::to_string(k); }
+
+/// One round; returns "" or the first key whose recovered value differs.
+std::string drillRound(const DrillSpec& spec, std::uint64_t seed) {
+  constexpr int kWriters = 4;
+  constexpr std::uint64_t kOps = 4000;
+  TempDir dir;
+  OakConfig shard = durableCfg(dir.str());
+  shard.dur.walBytes = spec.walBytes;
+  // Checkpoints run on a worker, as in a deployed map, so writers keep
+  // racing while one is taken.
+  shard.maintenance.threads = spec.walBytes < DurConfig{}.walBytes ? 1 : 0;
+  const ShardedOakConfig cfg =
+      ShardedOakConfig{shard}.withShards(spec.reshard ? 4 : 1);
+  std::vector<std::optional<ByteVec>> inMemory;
+  {
+    ShardedOakCoreMap<> map(cfg);
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> ops{0};
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWriters; ++w) {
+      threads.emplace_back([&, w] {
+        XorShift rng(seed * 31 + static_cast<std::uint64_t>(w));
+        ByteVec val(8);
+        for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+          const std::string key = drillKey(static_cast<int>(rng.next() % spec.keys));
+          const bool upsert = spec.write == DrillWrite::Upsert ||
+                              (spec.write == DrillWrite::Mixed && i % 2 == 0);
+          storeUnaligned(val.data(), (static_cast<std::uint64_t>(w) << 32) | i);
+          if (upsert) {
+            map.putIfAbsentComputeIfPresent(bytes(key), asBytes(val), [](OakWBuffer& b) {
+              b.putU64(0, b.getU64(0) + 1);
+            });
+          } else {
+            map.put(bytes(key), asBytes(val));
+          }
+          ops.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    if (spec.reshard) {
+      threads.emplace_back([&] {
+        const ByteVec mid = toVec(bytes(drillKey(spec.keys / 2)));
+        while (!stop.load(std::memory_order_relaxed)) {
+          const std::size_t i = map.shardFor(asBytes(mid));
+          if (map.splitShardAt(i, mid)) map.mergeShards(i);
+          // Leave the writers unsealed most of the time.
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+      });
+    }
+    while (ops.load(std::memory_order_relaxed) < kOps) std::this_thread::yield();
+    stop.store(true, std::memory_order_relaxed);
+    for (auto& t : threads) t.join();
+    for (int k = 0; k < spec.keys; ++k) inMemory.push_back(map.getCopy(bytes(drillKey(k))));
+  }
+  ShardedOakCoreMap<> map(cfg);
+  for (int k = 0; k < spec.keys; ++k) {
+    const std::optional<ByteVec> rec = map.getCopy(bytes(drillKey(k)));
+    if (rec != inMemory[static_cast<std::size_t>(k)]) {
+      const auto hex = [](const std::optional<ByteVec>& v) {
+        char buf[24] = "absent";
+        if (v && v->size() == 8) {
+          std::snprintf(buf, sizeof(buf), "0x%llx",
+                        static_cast<unsigned long long>(loadUnaligned<std::uint64_t>(v->data())));
+        }
+        return std::string(buf);
+      };
+      return drillKey(k) + ": " + hex(inMemory[static_cast<std::size_t>(k)]) +
+             " in memory, " + hex(rec) + " recovered";
+    }
+  }
+  return "";
+}
+
+void runDrill(const DrillSpec& spec) {
+  const std::uint64_t rounds = env::u64("OAK_DRILL_ROUNDS", 20);
+  std::uint64_t bad = 0;
+  std::string first;
+  for (std::uint64_t r = 0; r < rounds; ++r) {
+    const std::string m = drillRound(spec, chaosSeed() * 1000 + r);
+    if (!m.empty() && bad++ == 0) first = m;
+  }
+  EXPECT_EQ(bad, 0u) << bad << "/" << rounds
+                     << " rounds recovered a stale value; first: " << first;
+}
+
+TEST(WriteOrderDrill, HotKeyUpserts) { runDrill({DrillWrite::Upsert, 1}); }
+TEST(WriteOrderDrill, HotKeyPuts) { runDrill({DrillWrite::Put, 1}); }
+TEST(WriteOrderDrill, EightKeyUpserts) { runDrill({DrillWrite::Upsert, 8}); }
+TEST(WriteOrderDrill, EightKeyPuts) { runDrill({DrillWrite::Put, 8}); }
+TEST(WriteOrderDrill, UpsertsAcrossCheckpoints) {
+  runDrill({DrillWrite::Upsert, 8, 16u << 10});
+}
+TEST(WriteOrderDrill, PutsAcrossCheckpoints) {
+  runDrill({DrillWrite::Put, 8, 16u << 10});
+}
+TEST(WriteOrderDrill, MixedWritesAcrossSplitMerge) {
+  runDrill({DrillWrite::Mixed, 8, DurConfig{}.walBytes, /*reshard=*/true});
 }
 
 // ============================================================ sharded map

@@ -494,6 +494,29 @@ TEST(ShardRetirement, FailedSplitRollsBackAndCounts) {
   EXPECT_LT(m.arenas[1].allocatedBytes, 16u << 10);
 }
 
+TEST(ShardRetirement, MigrationIsNotUserTraffic) {
+  // A split copies keys into a fresh core and trims them from their
+  // source; a merge does both again.  That is internal work: every
+  // whole-map op count (user ops and scan steps alike) stays unchanged.
+  if (!obs::StatsRegistry::compiled()) GTEST_SKIP() << "built without OAK_STATS";
+  constexpr std::uint64_t kKeys = 4096;
+  mem::BlockPool pool(mem::BlockPool::Config{.blockBytes = 1u << 20});
+  auto map = retireMap(pool);
+  fillU64(map, kKeys);
+  const obs::Metrics before = map.stats();
+  ASSERT_EQ(before.registry.op(obs::Op::Put).count, kKeys);
+  ASSERT_TRUE(map.splitShardAt(0, keyOf(kKeys / 2)));
+  ASSERT_TRUE(map.mergeShards(0));
+  map.quiesce();
+  const obs::Metrics after = map.stats();
+  for (std::size_t i = 0; i < obs::kOpCount; ++i) {
+    const auto op = static_cast<obs::Op>(i);
+    EXPECT_EQ(after.registry.op(op).count, before.registry.op(op).count)
+        << obs::opName(op);
+  }
+  EXPECT_EQ(map.sizeSlow(), kKeys);
+}
+
 TEST(ShardRetirement, ExplicitSplitsStopAtMaxShards) {
   constexpr std::size_t kMax = ShardedOakCoreMap<>::kMaxShards;
   auto map = smallMap(kMax, 4 * kMax);

@@ -37,6 +37,41 @@ class ValueTest : public ::testing::Test {
   const SnapCtx sc_{&domain_};
 };
 
+// ---- version-GC floor and pending stamps (DESIGN.md §11a, §11c) ----
+
+TEST_F(ValueTest, GcFloorTakenWithNoPinSparesAPinOpenedAfterIt) {
+  // A GC pass reads its floor once.  Taken while no pin is open, the floor
+  // must still be <= every pin that opens before the pass reaches a cell,
+  // or the pass prunes the version that pin reads.
+  ValueCell v = make("old");
+  v.helpStamp(sc_);
+  const std::uint64_t floor = domain_.minPinned();
+  Snapshot snap(domain_);
+  ASSERT_TRUE(v.put(asBytes(std::string_view("new")), sc_));  // chains "old"
+  v.collect(floor, nullptr);
+  std::string seen;
+  EXPECT_TRUE(v.readAt(snap.version(),
+                       [&](ByteSpan s) { seen = std::string(asString(s)); }));
+  EXPECT_EQ(seen, "old");
+  EXPECT_EQ(readAll(v), "new");
+}
+
+TEST_F(ValueTest, SnapshotReadsOfAPendingValueAgree) {
+  // An insert publishes its value pending (stamp 0) and stamps it just
+  // after.  A snapshot read at V that finds it pending stamps it (> V)
+  // itself, so an inserter stalled between loading its stamp s <= V and
+  // its CAS cannot make the key appear at V after a read at V missed it.
+  ValueCell v = make("x");
+  Snapshot snap(domain_);
+  const std::uint64_t at = snap.version();
+  const bool first = v.readAt(at, [](ByteSpan) {}, &sc_);
+  SnapshotDomain stalled;  // its clock still reads the value before the pin
+  v.helpStamp(SnapCtx{&stalled});  // the inserter's CAS(0 -> s <= V)
+  const bool second = v.readAt(at, [](ByteSpan) {}, &sc_);
+  EXPECT_FALSE(first);
+  EXPECT_EQ(second, first);
+}
+
 TEST_F(ValueTest, AllocateAndRead) {
   ValueCell v = make("hello");
   EXPECT_FALSE(v.isDeleted());
