@@ -76,6 +76,23 @@ inline int compareBytesFast(ByteSpan a, ByteSpan b) noexcept {
   return a.size() < b.size() ? -1 : 1;
 }
 
+/// The first 8 bytes of `k` as a big-endian integer, zero-padded when `k`
+/// is shorter.  Order-preserving: keyPrefix(a) < keyPrefix(b) implies
+/// compareBytes(a, b) < 0 (a zero pad only ever stands where the shorter
+/// key has ended); equal prefixes decide nothing.
+inline std::uint64_t keyPrefix(ByteSpan k) noexcept {
+  std::uint64_t v = 0;
+  if (k.size() >= 8) {
+    std::memcpy(&v, k.data(), 8);
+    if constexpr (std::endian::native == std::endian::little) v = byteSwap64(v);
+    return v;
+  }
+  for (std::size_t i = 0; i < 8; ++i) {
+    v = (v << 8) | (i < k.size() ? static_cast<std::uint64_t>(k[i]) : 0);
+  }
+  return v;
+}
+
 inline bool bytesEqual(ByteSpan a, ByteSpan b) noexcept {
   return a.size() == b.size() &&
          (a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0);

@@ -7,7 +7,10 @@
 // intra-chunk sorted linked list via "bypasses" (Figure 2).
 //
 // Entries refer to off-heap keys and values through packed mem::Refs; the
-// value reference is the CAS target of Algorithms 2 and 3.
+// value reference is the CAS target of Algorithms 2 and 3.  Each entry also
+// caches its key's first 8 bytes (keyPrefix), so under BytesComparator the
+// search decides order on the entry cell and reads the off-heap key only
+// when two prefixes tie.
 //
 // Synchronization with the rebalancer follows the paper's publish/freeze
 // protocol: updaters publish an intent, re-check the frozen flag, CAS, and
@@ -17,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -24,6 +28,7 @@
 #include "common/thread_registry.hpp"
 #include "mem/memory_manager.hpp"
 #include "mheap/managed_heap.hpp"
+#include "oak/serializer.hpp"
 #include "oak/value.hpp"
 
 namespace oak::detail {
@@ -40,8 +45,13 @@ class Chunk {
   struct Entry {
     std::atomic<std::uint64_t> valRef{0};   // mem::Ref to the value header, or ⊥
     std::atomic<std::uint64_t> keyRef{0};   // mem::Ref to the immutable key
+    // keyPrefix(key), written before the keyRef release-store; readers reach
+    // a cell only through the published sorted prefix or an acquire-loaded
+    // link, so a plain field is race-free.
+    std::uint64_t prefix = 0;
     std::atomic<std::int32_t> next{kNone};  // intra-chunk sorted list
   };
+  static_assert(sizeof(Entry) == 32, "entry cell: two refs, prefix, link");
 
   /// Chunks live on the simulated managed heap (they are Java metadata
   /// objects in the original); the entries array is allocated inline.
@@ -100,6 +110,9 @@ class Chunk {
   /// Semantically identical to the classic branchy form (oak_iterator_test
   /// cross-checks it against a reference implementation).
   std::int32_t prefixFloor(ByteSpan probe) const noexcept {
+    return prefixFloor(probe, keyPrefix(probe));
+  }
+  std::int32_t prefixFloor(ByteSpan probe, std::uint64_t pp) const noexcept {
     std::int32_t lo = 0;          // number of prefix keys known <= probe
     std::int32_t len = sortedCount_;
     const Entry* cells = entries();
@@ -109,11 +122,28 @@ class Chunk {
       __builtin_prefetch(&cells[lo + half / 2], 0, 1);
       __builtin_prefetch(&cells[lo + half + (len - half) / 2], 0, 1);
 #endif
-      const bool le = cmp_(keyAt(lo + half), probe) <= 0;
+      const bool le = compareAt(lo + half, probe, pp) <= 0;
       lo = le ? lo + half + 1 : lo;
       len = le ? len - half - 1 : half;
     }
     return lo == 0 ? kNone : lo - 1;
+  }
+
+  /// Greatest sorted-prefix index whose key is < probe, or kNone (the
+  /// descending iterator's starting point under an exclusive upper bound).
+  std::int32_t prefixLower(ByteSpan probe) const noexcept {
+    const std::uint64_t pp = keyPrefix(probe);
+    std::int32_t lo = 0, hi = sortedCount_, ans = kNone;
+    while (lo < hi) {
+      const std::int32_t mid = lo + (hi - lo) / 2;
+      if (compareAt(mid, probe, pp) < 0) {
+        ans = mid;
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return ans;
   }
 
   /// Software prefetch of entry i's cell and key bytes — iterator lookahead
@@ -135,10 +165,10 @@ class Chunk {
   /// probe lies beyond it.  The hint turns append-heavy ingestion — e.g.
   /// Druid's time-ordered tuples (§6) — from an O(bypass-run) walk into
   /// O(1), and is only ever a shortcut: stale hints just mean more walking.
-  std::int32_t searchStart(ByteSpan probe) const noexcept {
-    const std::int32_t pos = prefixFloor(probe);
+  std::int32_t searchStart(ByteSpan probe, std::uint64_t pp) const noexcept {
+    const std::int32_t pos = prefixFloor(probe, pp);
     const std::int32_t th = tailHint_.load(std::memory_order_acquire);
-    if (th != kNone && th != pos && cmp_(keyAt(th), probe) <= 0) return th;
+    if (th != kNone && th != pos && compareAt(th, probe, pp) <= 0) return th;
     return pos;
   }
 
@@ -146,16 +176,17 @@ class Chunk {
   /// entries linked list.  Returns the unique entry holding k, or kNone.
   /// Proceeds concurrently with rebalance without aborting.
   std::int32_t lookUp(ByteSpan probe) const noexcept {
-    const std::int32_t pos = searchStart(probe);
+    const std::uint64_t pp = keyPrefix(probe);
+    const std::int32_t pos = searchStart(probe, pp);
     std::int32_t cur;
     if (pos == kNone) {
       cur = head_.load(std::memory_order_acquire);
     } else {
-      if (cmp_(keyAt(pos), probe) == 0) return pos;
+      if (compareAt(pos, probe, pp) == 0) return pos;
       cur = entries()[pos].next.load(std::memory_order_acquire);
     }
     while (cur != kNone) {
-      const int c = cmp_(keyAt(cur), probe);
+      const int c = compareAt(cur, probe, pp);
       if (c == 0) return cur;
       if (c > 0) return kNone;
       cur = entries()[cur].next.load(std::memory_order_acquire);
@@ -165,15 +196,16 @@ class Chunk {
 
   /// First entry with key >= probe (for iterators), or kNone.
   std::int32_t lowerBound(ByteSpan probe) const noexcept {
-    const std::int32_t pos = prefixFloor(probe);
+    const std::uint64_t pp = keyPrefix(probe);
+    const std::int32_t pos = prefixFloor(probe, pp);
     std::int32_t cur;
     if (pos == kNone) {
       cur = head_.load(std::memory_order_acquire);
     } else {
-      if (cmp_(keyAt(pos), probe) == 0) return pos;
+      if (compareAt(pos, probe, pp) == 0) return pos;
       cur = entries()[pos].next.load(std::memory_order_acquire);
     }
-    while (cur != kNone && cmp_(keyAt(cur), probe) < 0) {
+    while (cur != kNone && compareAt(cur, probe, pp) < 0) {
       cur = entries()[cur].next.load(std::memory_order_acquire);
     }
     return cur;
@@ -181,8 +213,8 @@ class Chunk {
 
   // ------------------------------------------------------------- insertion
   /// allocateEntry(keyRef) (§4.1): grabs a free cell with F&A and stores the
-  /// key reference.  Returns kFull when the chunk is exhausted (the caller
-  /// triggers a rebalance and retries).
+  /// key reference and the key's prefix.  Returns kFull when the chunk is
+  /// exhausted (the caller triggers a rebalance and retries).
   std::int32_t allocateEntry(mem::Ref keyRef) noexcept {
     const std::int32_t i = allocIdx_.fetch_add(1, std::memory_order_acq_rel);
     if (i >= capacity_) {
@@ -192,6 +224,7 @@ class Chunk {
     Entry& e = entries()[i];
     e.valRef.store(0, std::memory_order_relaxed);
     e.next.store(kNone, std::memory_order_relaxed);
+    e.prefix = keyPrefix(mm_->keyBytes(keyRef));
     e.keyRef.store(keyRef.bits(), std::memory_order_release);
     return i;
   }
@@ -204,20 +237,21 @@ class Chunk {
   std::int32_t entriesLLPutIfAbsent(std::int32_t ei) noexcept {
     if (ei == kNone) return kNone;
     const ByteSpan key = keyAt(ei);
+    const std::uint64_t pp = entries()[ei].prefix;
     for (;;) {
       if (isFrozen()) return kFrozen;
       std::int32_t pred = kNone;
       std::int32_t cur;
-      const std::int32_t pos = searchStart(key);
+      const std::int32_t pos = searchStart(key, pp);
       if (pos != kNone) {
-        if (cmp_(keyAt(pos), key) == 0) return pos;
+        if (compareAt(pos, key, pp) == 0) return pos;
         pred = pos;
         cur = entries()[pos].next.load(std::memory_order_acquire);
       } else {
         cur = head_.load(std::memory_order_acquire);
       }
       while (cur != kNone) {
-        const int c = cmp_(keyAt(cur), key);
+        const int c = compareAt(cur, key, pp);
         if (c == 0) return cur;
         if (c > 0) break;
         pred = cur;
@@ -227,7 +261,7 @@ class Chunk {
       std::atomic<std::int32_t>& link = (pred == kNone) ? head_ : entries()[pred].next;
       std::int32_t expected = cur;
       if (link.compare_exchange_strong(expected, ei, std::memory_order_acq_rel)) {
-        if (cur == kNone) advanceTailHint(ei, key);
+        if (cur == kNone) advanceTailHint(ei, key, pp);
         return ei;
       }
       // Lost the race; recompute the insertion position.
@@ -236,10 +270,10 @@ class Chunk {
 
   /// Monotonically advances the tail hint to `ei` (key must exceed the
   /// current hint's key; only called for entries linked at the list tail).
-  void advanceTailHint(std::int32_t ei, ByteSpan key) noexcept {
+  void advanceTailHint(std::int32_t ei, ByteSpan key, std::uint64_t pp) noexcept {
     std::int32_t cur = tailHint_.load(std::memory_order_acquire);
     for (;;) {
-      if (cur != kNone && cmp_(keyAt(cur), key) >= 0) return;
+      if (cur != kNone && compareAt(cur, key, pp) >= 0) return;
       if (tailHint_.compare_exchange_weak(cur, ei, std::memory_order_acq_rel)) return;
     }
   }
@@ -320,6 +354,7 @@ class Chunk {
   void fillSorted(const LiveEntry* src, std::int32_t count) noexcept {
     for (std::int32_t i = 0; i < count; ++i) {
       Entry& e = entries()[i];
+      e.prefix = keyPrefix(mm_->keyBytes(mem::Ref{src[i].keyRefBits}));
       e.keyRef.store(src[i].keyRefBits, std::memory_order_relaxed);
       e.valRef.store(src[i].valRefBits, std::memory_order_relaxed);
       e.next.store(i + 1 < count ? i + 1 : kNone, std::memory_order_relaxed);
@@ -342,6 +377,17 @@ class Chunk {
   }
 
   ~Chunk() = default;
+
+  /// Entry i's key against probe, with cmp_'s sign.  Under BytesComparator
+  /// the cached prefixes decide unless they tie; only then is the off-heap
+  /// key read.  `pp` is keyPrefix(probe).
+  int compareAt(std::int32_t i, ByteSpan probe, std::uint64_t pp) const noexcept {
+    if constexpr (std::is_same_v<Compare, BytesComparator>) {
+      const std::uint64_t p = entries()[i].prefix;
+      if (p != pp) return p < pp ? -1 : 1;
+    }
+    return cmp_(keyAt(i), probe);
+  }
 
   Entry* entries() noexcept { return reinterpret_cast<Entry*>(this + 1); }
   const Entry* entries() const noexcept {

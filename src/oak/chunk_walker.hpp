@@ -10,6 +10,9 @@
 //     indexes an allocated entry, and the intra-chunk linked list visits at
 //     most `capacity` entries in strictly ascending key order within
 //     [minKey, next->minKey);
+//   * every linked entry's cached key prefix equals keyPrefix of its key
+//     (a rebalance, bulk-load or relocation path that skips the field
+//     would silently misorder the search);
 //   * every linked entry's key reference — and every live value's header
 //     and payload references — point at slices the allocator still
 //     considers live (no metadata pointing into freed off-heap memory).
@@ -261,6 +264,13 @@ class ChunkWalker {
         continue;  // keyAt() would fault (checked builds abort) — skip order checks
       }
       const ByteSpan key = c->keyAt(cur);
+      if (c->entry(cur).prefix != keyPrefix(key)) {
+        rep.fail(format("chunk %p entry %d caches key prefix %016llx, but its "
+                        "key's prefix is %016llx",
+                        static_cast<void*>(c), cur,
+                        static_cast<unsigned long long>(c->entry(cur).prefix),
+                        static_cast<unsigned long long>(keyPrefix(key))));
+      }
       if (predIdx != ChunkT::kNone && m.cmp_(c->keyAt(predIdx), key) >= 0) {
         rep.fail(format("chunk %p entries %d -> %d break ascending key order",
                         static_cast<void*>(c), predIdx, cur));

@@ -166,6 +166,9 @@ struct OakConfig {
   }
 };
 
+template <class Compare>
+class ShardedOakCoreMap;
+
 template <class Compare = BytesComparator>
 class OakCoreMap {
   using ChunkT = detail::Chunk<Compare>;
@@ -554,7 +557,11 @@ class OakCoreMap {
     }
 
    private:
-    friend OakCoreMap;  // internal walks (removeRange, copyRange) step uncounted
+    // Internal walks step uncounted: removeRange and copyRange here, the
+    // checkpoint in the front end's merged iterator.
+    friend OakCoreMap;
+    template <class>
+    friend class ShardedOakCoreMap;
 
     void step() {
       cur_ = chunk_->entry(cur_).next.load(std::memory_order_acquire);
@@ -627,23 +634,8 @@ class OakCoreMap {
       upper_.clear();
       bounded_ = boundedAbove;
       if (boundedAbove) upper_.assign(upper.begin(), upper.end());
-      pp_ = boundedAbove ? prefixLower(upper) : (chunk_->sortedCount() - 1);
+      pp_ = boundedAbove ? chunk_->prefixLower(upper) : (chunk_->sortedCount() - 1);
       fillBatch();
-    }
-
-    /// Greatest sorted-prefix index with key < probe, or kNone.
-    std::int32_t prefixLower(ByteSpan probe) const noexcept {
-      std::int32_t lo = 0, hi = chunk_->sortedCount(), ans = ChunkT::kNone;
-      while (lo < hi) {
-        const std::int32_t mid = lo + (hi - lo) / 2;
-        if (map_->cmp_(chunk_->keyAt(mid), probe) < 0) {
-          ans = mid;
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      return ans;
     }
 
     /// Collects one bypass run [start .. boundary) onto the stack, bounded

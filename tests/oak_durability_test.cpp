@@ -217,6 +217,59 @@ TEST(CoreRecovery, CheckpointTruncatesWalSoReplayCoversOnlyTheTail) {
   EXPECT_EQ(m.recoveryReplayed, 50u);
 }
 
+TEST(CoreRecovery, CheckpointIsInternalWork) {
+  // A checkpoint walks the whole map, but as internal work: no user op
+  // count (scan steps included) moves.
+  if (!obs::StatsRegistry::compiled()) GTEST_SKIP() << "built without OAK_STATS";
+  constexpr std::uint64_t kKeys = 2000;
+  for (std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    TempDir dir;
+    ShardedOakCoreMap<> map(ShardedOakConfig{durableCfg(dir.str())}.withShards(shards));
+    ByteVec key(8);
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      storeU64BE(key.data(), i * (UINT64_MAX / kKeys));  // spread over every shard
+      map.put(asBytes(key), bytes(valueFor(static_cast<int>(i), 'c')));
+    }
+    const obs::Metrics before = map.stats();
+    EXPECT_EQ(map.checkpointNow(), kKeys);
+    const obs::Metrics after = map.stats();
+    for (std::size_t i = 0; i < obs::kOpCount; ++i) {
+      const auto op = static_cast<obs::Op>(i);
+      EXPECT_EQ(after.registry.op(op).count, before.registry.op(op).count)
+          << obs::opName(op);
+    }
+  }
+}
+
+TEST(CoreRecovery, InlineAutoCheckpointsDoNotStampede) {
+  // Without a maintenance service every writer that crosses the walBytes
+  // trigger runs the checkpoint itself.  Writers that cross it together
+  // must not each take one: a checkpoint needs a full segment behind it.
+  constexpr std::size_t kWalBytes = 16u << 10;
+  constexpr int kThreads = 4;
+  constexpr int kPuts = 5000;
+  TempDir dir;
+  OakConfig cfg = durableCfg(dir.str());
+  cfg.dur.walBytes = kWalBytes;
+  ShardedOakCoreMap<> map(cfg);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPuts; ++i) {
+        const int id = t * kPuts + i;
+        map.put(bytes(padKey(id)), bytes(valueFor(id, 's')));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const Metrics m = map.stats();
+  EXPECT_GT(m.checkpoints, 0u);
+  EXPECT_LE(m.checkpoints, (m.walBytes + kWalBytes - 1) / kWalBytes + 1)
+      << m.walBytes << " WAL bytes";
+  EXPECT_EQ(map.sizeSlow(), static_cast<std::size_t>(kThreads * kPuts));
+}
+
 TEST(CoreRecovery, RepeatedCheckpointsKeepTwoGenerationsAndRecover) {
   TempDir dir;
   {

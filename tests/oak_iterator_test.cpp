@@ -1,6 +1,7 @@
 // Ascending / descending scans, subMap ranges, stream variants (§4.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -380,6 +381,90 @@ TEST_F(ChunkSearchTest, LookUpAndLowerBoundUnaffectedByBypasses) {
   const std::int32_t ei = chunk_->lowerBound(asBytes(std::string_view("q0010x")));
   ASSERT_NE(ei, ChunkT::kNone);
   EXPECT_EQ(asString(chunk_->keyAt(ei)), "q0011");
+}
+
+// Order-preserving key prefixes (oak/chunk.hpp): under BytesComparator the
+// search decides on each entry's cached 8-byte prefix and reads the key only
+// on a tie.  These key sets live where a wrong prefix or a wrong tie rule
+// would misorder: keys equal in their first 8 bytes, keys shorter than 8
+// bytes (zero-padded), chains of trailing zero bytes (which pad identically)
+// and bytes >= 0x80 (which must sort unsigned).
+std::string raw(const char* s, std::size_t n) { return std::string(s, n); }
+
+std::vector<std::vector<std::string>> prefixKeySets() {
+  return {
+      // Ties on the first 8 bytes, differing later.
+      {"tenant01", raw("tenant01\0", 9), "tenant01a", "tenant01ab",
+       "tenant01b", raw("tenant01\xff", 9), "tenant02", "tenant0"},
+      // Shorter than 8 bytes, beside 8-byte keys they pad against.
+      {"a", "ab", "abc", "abcdefg", "abcdefgh", "b", "ba", "z"},
+      // Trailing-zero chains: every one pads to the same prefix as "ab".
+      {"ab", raw("ab\0", 3), raw("ab\0\0\0\0\0\0", 8),
+       raw("ab\0\0\0\0\0\0\0", 9), raw("ab\0\0\0\0\0\0\0\0", 10),
+       raw("ab\0\0\0\0\0\0\0\x01", 10), raw("ab\x01", 3)},
+      // High bytes: 0x80.. sort above 0x7f.. (unsigned).
+      {"\x7f", "\x80", raw("\x80\0", 2), "\xff", "\xff\xff\xff\xff\xff\xff\xff\xff",
+       "\xff\xff\xff\xff\xff\xff\xff\xff\x80", "a\x7f", "a\x80", "a\xff"},
+  };
+}
+
+TEST_F(ChunkSearchTest, PrefixTiesShortKeysZerosAndHighBytes) {
+  for (const std::vector<std::string>& set : prefixKeySets()) {
+    std::vector<std::string> keys = set;
+    std::sort(keys.begin(), keys.end(), [](const std::string& a, const std::string& b) {
+      return compareBytes(asBytes(std::string_view(a)), asBytes(std::string_view(b))) < 0;
+    });
+    // Probes: every key, one byte more or less, and the -inf sentinel.
+    std::vector<std::string> probes{""};
+    for (const auto& k : keys) {
+      probes.push_back(k);
+      probes.push_back(k + raw("\0", 1));
+      probes.push_back(k + "\xff");
+      probes.push_back(k.substr(0, k.size() - 1));
+    }
+    // Both splits: even keys sorted and odd ones bypass-inserted (in reverse,
+    // so inserts land before linked keys), then the other way round.
+    for (int split = 0; split < 2; ++split) {
+      std::vector<std::string> sorted, bypass;
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        (static_cast<int>(i % 2) == split ? sorted : bypass).push_back(keys[i]);
+      }
+      std::reverse(bypass.begin(), bypass.end());
+      if (chunk_ != nullptr) ChunkT::dispose(mheap::ManagedHeap::unlimited(), chunk_);
+      chunk_ = nullptr;
+      build(sorted, bypass);
+      for (const auto& probe : probes) {
+        SCOPED_TRACE("split=" + std::to_string(split) + " probe=" +
+                     ::testing::PrintToString(probe));
+        const ByteSpan p = asBytes(std::string_view(probe));
+        EXPECT_EQ(chunk_->prefixFloor(p), referenceFloor(p));
+        // Reference lowerBound: the least key >= probe, over all keys.
+        const auto lb = std::find_if(keys.begin(), keys.end(), [&](const std::string& k) {
+          return compareBytes(asBytes(std::string_view(k)), p) >= 0;
+        });
+        const std::int32_t got = chunk_->lowerBound(p);
+        if (lb == keys.end()) {
+          EXPECT_EQ(got, ChunkT::kNone);
+        } else {
+          ASSERT_NE(got, ChunkT::kNone);
+          EXPECT_EQ(std::string(asString(chunk_->keyAt(got))), *lb);
+        }
+        const bool present = lb != keys.end() && *lb == probe;
+        const std::int32_t hit = chunk_->lookUp(p);
+        EXPECT_EQ(hit, present ? got : ChunkT::kNone);
+      }
+      // A second cell carrying an existing key must dedupe onto the linked
+      // entry, wherever ties put it.
+      for (const auto& k : keys) {
+        const mem::Ref keyRef = mm_.allocateKey(asBytes(std::string_view(k)));
+        const std::int32_t cell = chunk_->allocateEntry(keyRef);
+        ASSERT_GE(cell, 0);
+        const std::int32_t ei = chunk_->entriesLLPutIfAbsent(cell);
+        EXPECT_NE(ei, cell) << ::testing::PrintToString(k);
+        EXPECT_EQ(ei, chunk_->lookUp(asBytes(std::string_view(k))));
+      }
+    }
+  }
 }
 
 // Warm-iterator seek shortcuts: after any mix of forward/backward seeks on a

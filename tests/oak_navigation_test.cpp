@@ -149,52 +149,83 @@ TEST_F(NavTest, ReplaceCanResize) {
 }
 
 // Property sweep: navigation queries agree with std::map on random data.
-class NavSweep : public ::testing::TestWithParam<int> {};
+// Ids map to keys through `key` (monotone) and back through `num`.
+struct KeyCodec {
+  ByteVec (*key)(std::uint64_t);
+  std::uint64_t (*num)(ByteSpan);
+  std::uint64_t range;  ///< the layout spreads shard boundaries over [0, range)
+};
 
-TEST_P(NavSweep, MatchesReference) {
+void navSweep(int seed, const KeyCodec& codec) {
+  const auto num = [&](std::optional<Map::KeyedEntry> e) -> std::optional<std::uint64_t> {
+    if (!e) return std::nullopt;
+    return codec.num(asBytes(e->key));
+  };
   for (std::size_t shards : shardCounts()) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    auto mp = makeMap(shards, 5000);
+    auto mp = makeMap(shards, codec.range);
     Map& m = *mp;
     std::map<std::uint64_t, int> ref;
-    XorShift rng(GetParam() * 999331);
+    XorShift rng(seed * 999331);
     for (int i = 0; i < 600; ++i) {
       const std::uint64_t k = rng.nextBounded(5000);
       if (rng.nextBounded(10) < 8) {
-        m.put(asBytes(keyOf(k)), asBytes(valOf(k)));
+        m.put(asBytes(codec.key(k)), asBytes(valOf(k)));
         ref[k] = 1;
       } else {
-        m.remove(asBytes(keyOf(k)));
+        m.remove(asBytes(codec.key(k)));
         ref.erase(k);
       }
     }
     for (std::uint64_t probe = 0; probe < 5200; probe += 37) {
-      const auto k = keyOf(probe);
+      const auto k = codec.key(probe);
       // floor
       auto fit = ref.upper_bound(probe);
       std::optional<std::uint64_t> expFloor;
       if (fit != ref.begin()) expFloor = std::prev(fit)->first;
-      EXPECT_EQ(keyNum(m.floorEntry(asBytes(k))), expFloor) << probe;
+      EXPECT_EQ(num(m.floorEntry(asBytes(k))), expFloor) << probe;
       // ceiling
       auto cit = ref.lower_bound(probe);
       std::optional<std::uint64_t> expCeil;
       if (cit != ref.end()) expCeil = cit->first;
-      EXPECT_EQ(keyNum(m.ceilingEntry(asBytes(k))), expCeil) << probe;
+      EXPECT_EQ(num(m.ceilingEntry(asBytes(k))), expCeil) << probe;
       // lower / higher
       auto lit = ref.lower_bound(probe);
       std::optional<std::uint64_t> expLower;
       if (lit != ref.begin()) expLower = std::prev(lit)->first;
-      EXPECT_EQ(keyNum(m.lowerEntry(asBytes(k))), expLower) << probe;
+      EXPECT_EQ(num(m.lowerEntry(asBytes(k))), expLower) << probe;
       auto hit = ref.upper_bound(probe);
       std::optional<std::uint64_t> expHigher;
       if (hit != ref.end()) expHigher = hit->first;
-      EXPECT_EQ(keyNum(m.higherEntry(asBytes(k))), expHigher) << probe;
+      EXPECT_EQ(num(m.higherEntry(asBytes(k))), expHigher) << probe;
     }
     if (!ref.empty()) {
-      EXPECT_EQ(keyNum(m.firstEntry()), ref.begin()->first);
-      EXPECT_EQ(keyNum(m.lastEntry()), ref.rbegin()->first);
+      EXPECT_EQ(num(m.firstEntry()), ref.begin()->first);
+      EXPECT_EQ(num(m.lastEntry()), ref.rbegin()->first);
     }
   }
+}
+
+class NavSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(NavSweep, MatchesReference) {
+  navSweep(GetParam(), {keyOf, [](ByteSpan k) { return loadU64BE(k.data()); }, 5000});
+}
+
+// 16-byte keys whose first 8 bytes are id / 16: runs of 16 ids tie on the
+// chunk entries' cached prefix, so every search among them falls back to
+// the full key compare.  The layout's 8-byte boundaries split the id / 16
+// space.
+ByteVec tiedKeyOf(std::uint64_t i) {
+  ByteVec k(16);
+  storeU64BE(k.data(), i / 16);
+  storeU64BE(k.data() + 8, i);
+  return k;
+}
+
+TEST_P(NavSweep, SharedPrefixKeysMatchReference) {
+  navSweep(GetParam(),
+           {tiedKeyOf, [](ByteSpan k) { return loadU64BE(k.data() + 8); }, 5000 / 16});
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NavSweep, ::testing::Values(1, 2, 3, 4));
