@@ -214,6 +214,15 @@ void ManagedHeap::fullGc() {
     return;
   }
   bytesSinceGc_.store(0, std::memory_order_relaxed);
+  collectLocked(/*mark=*/true);
+}
+
+void ManagedHeap::collectNow() {
+  MutexLock lk(gcMu_);
+  collectLocked(/*mark=*/false);
+}
+
+void ManagedHeap::collectLocked(bool mark) {
   const std::uint64_t t0 = nowNanos();
   stw_.store(true, std::memory_order_seq_cst);
 
@@ -223,7 +232,7 @@ void ManagedHeap::fullGc() {
   for (std::uint32_t i = 0; i < hw; ++i) {
     Slot& s = slots_[i];
     const std::uint8_t st = s.state.load(std::memory_order_acquire);
-    if (st == kLive) {
+    if (st == kLive && mark) {
       // Mark: trace through the object — touch its header and its middle
       // cache line (real memory traffic proportional to the live set).
       const auto* raw = static_cast<const unsigned char*>(
@@ -235,59 +244,17 @@ void ManagedHeap::fullGc() {
       }
     } else if (st == kGarbage) {
       // Sweep: reclaim the object and recycle its slot.
-      void* raw = s.ptr.load(std::memory_order_relaxed);
-      const std::uint32_t charged = s.charged.load(std::memory_order_relaxed);
-      std::free(raw);
+      std::free(s.ptr.load(std::memory_order_relaxed));
+      reclaimed += s.charged.load(std::memory_order_relaxed);
       s.ptr.store(nullptr, std::memory_order_relaxed);
       s.state.store(kFree, std::memory_order_release);
-      reclaimed += charged;
-      // Push the slot onto the free stack.
-      std::uint64_t head = freeHead_.load(std::memory_order_acquire);
-      for (;;) {
-        nextFree_[i].store(static_cast<std::uint32_t>(head & 0xffffffffu),
-                           std::memory_order_relaxed);
-        const std::uint64_t newHead =
-            ((head >> 32) + 1) << 32 | static_cast<std::uint64_t>(i + 1);
-        if (freeHead_.compare_exchange_weak(head, newHead,
-                                            std::memory_order_acq_rel)) {
-          break;
-        }
-      }
+      releaseSlot(i);
     }
   }
-  gMarkSink = sink;
+  if (mark) gMarkSink = sink;
   committed_.fetch_sub(reclaimed, std::memory_order_acq_rel);
   garbageBytes_.fetch_sub(reclaimed, std::memory_order_relaxed);
 
-  stw_.store(false, std::memory_order_seq_cst);
-  fullGcCycles_.fetch_add(1, std::memory_order_relaxed);
-  gcNanos_.fetch_add(nowNanos() - t0, std::memory_order_relaxed);
-}
-
-void ManagedHeap::collectNow() {
-  MutexLock lk(gcMu_);
-  const std::uint64_t t0 = nowNanos();
-  stw_.store(true, std::memory_order_seq_cst);
-  const std::uint32_t hw = slotHighWater_.load(std::memory_order_acquire);
-  std::size_t reclaimed = 0;
-  for (std::uint32_t i = 0; i < hw; ++i) {
-    Slot& s = slots_[i];
-    if (s.state.load(std::memory_order_acquire) != kGarbage) continue;
-    std::free(s.ptr.load(std::memory_order_relaxed));
-    reclaimed += s.charged.load(std::memory_order_relaxed);
-    s.ptr.store(nullptr, std::memory_order_relaxed);
-    s.state.store(kFree, std::memory_order_release);
-    std::uint64_t head = freeHead_.load(std::memory_order_acquire);
-    for (;;) {
-      nextFree_[i].store(static_cast<std::uint32_t>(head & 0xffffffffu),
-                         std::memory_order_relaxed);
-      const std::uint64_t newHead =
-          ((head >> 32) + 1) << 32 | static_cast<std::uint64_t>(i + 1);
-      if (freeHead_.compare_exchange_weak(head, newHead, std::memory_order_acq_rel)) break;
-    }
-  }
-  committed_.fetch_sub(reclaimed, std::memory_order_acq_rel);
-  garbageBytes_.fetch_sub(reclaimed, std::memory_order_relaxed);
   stw_.store(false, std::memory_order_seq_cst);
   fullGcCycles_.fetch_add(1, std::memory_order_relaxed);
   gcNanos_.fetch_add(nowNanos() - t0, std::memory_order_relaxed);

@@ -152,9 +152,12 @@ class ManagedHeap {
 
   void safepoint() const noexcept;
   void fullGc();
+  /// The one stop-the-world sweep: frees every garbage slot (and, with
+  /// `mark`, first touches every live object like a tracing mark).
+  void collectLocked(bool mark) OAK_REQUIRES(gcMu_);
   bool tryReserve(std::size_t charge);
   std::uint32_t grabSlot();
-  /// Returns a grabbed-but-unused slot to the free stack (failure unwind).
+  /// Pushes a slot onto the free stack (failure unwind and sweep).
   void releaseSlot(std::uint32_t idx) noexcept;
   /// The single funnel for allocation failure: every OOM exit increments
   /// oomThrows_ exactly once and raises the typed exception.

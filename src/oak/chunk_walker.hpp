@@ -11,7 +11,7 @@
 //     most `capacity` entries in strictly ascending key order within
 //     [minKey, next->minKey);
 //   * every linked entry's cached key prefix equals keyPrefix of its key
-//     (a rebalance, bulk-load or relocation path that skips the field
+//     (a chunk-rebuild or relocation path that skips the field
 //     would silently misorder the search);
 //   * every linked entry's key reference — and every live value's header
 //     and payload references — point at slices the allocator still

@@ -183,6 +183,13 @@ class OakCoreMap {
     }
   };
   using Index = sl::SkipList<ByteVec, ChunkT*, IndexCmp>;
+  using LiveEntry = typename ChunkT::LiveEntry;
+  /// A range rebuild: [lo, hi) (nullopt bounds mean -inf / +inf) and the
+  /// sorted run that replaces it.
+  struct Splice {
+    std::optional<ByteVec> lo, hi;
+    std::vector<LiveEntry> run;
+  };
 
  public:
   /// A bare core owns its maintenance pool (when cfg.maintenance.threads >
@@ -378,30 +385,46 @@ class OakCoreMap {
     return ok;
   }
 
-  /// Removes every key in [lo, hi) through the remove protocol, as internal
-  /// work (no op count): the map front end trims keys no live shard layout
-  /// routes to this core.
-  void removeRange(std::optional<ByteVec> lo, std::optional<ByteVec> hi) {
-    for (auto it = ascend(std::move(lo), std::move(hi), ScanOptions::streaming());
-         it.valid(); it.step()) {
-      doIfPresent(it.entry().key, nullptr, IfPresentOp::Remove, nullptr);
-    }
-  }
-
-  /// Inserts every live entry `src` holds in [lo, hi) through the put
-  /// protocol, as internal work (no op count): the map front end migrates a
-  /// write-sealed range into this core.  Throws on OOM (the caller rolls
-  /// back).
-  void copyRange(OakCoreMap& src, const std::optional<ByteVec>& lo,
-                 const std::optional<ByteVec>& hi) {
-    ByteVec val;
-    for (auto it = src.ascend(lo, hi, ScanOptions::streaming()); it.valid(); it.step()) {
-      const EntryView e = it.entry();
-      val.clear();
-      if (!e.value.read([&](ByteSpan s) { val.assign(s.begin(), s.end()); })) {
-        continue;  // deleted-but-linked: nothing to migrate
+  /// Replaces everything this core holds in [lo, hi) (nullopt = unbounded)
+  /// with the pairs `source` emits, through the one chunk-build path
+  /// (rebuildLocked), as internal work: no op count, no WAL record.  The
+  /// map front end migrates a write-sealed range in, trims what no live
+  /// layout routes here (no pairs) and loads a checkpoint slice at
+  /// recovery.  `source(add)` calls add(key, value) in ascending key order,
+  /// every key inside [lo, hi); the pair is copied into this core's arena
+  /// and its value stamped at the current clock, so every snapshot opened
+  /// from now on sees it.  The values of the entries the range drops are
+  /// hard-deleted: no reader may be routed to [lo, hi) in this core.  An
+  /// OOM before the rebuild publishes leaves the core unchanged and
+  /// propagates.
+  template <class Source>
+  void replaceRange(std::optional<ByteVec> lo, std::optional<ByteVec> hi,
+                    Source&& source) {
+    Splice sp{std::move(lo), std::move(hi), {}};
+    try {
+      source([&](ByteSpan key, ByteSpan value) {
+        sp.run.push_back({});
+        LiveEntry& e = sp.run.back();
+        e.keyRefBits = mm_.allocateKey(key).bits();
+        e.valRefBits = detail::ValueCell::allocate(mm_, value, headerPool()).bits();
+        detail::ValueCell(mm_, detail::VRef{e.valRefBits}).helpStamp(snapCtx_);
+      });
+      sync::Ebr::Guard g(ebr_);
+      // oaklint: allow(R5, the guard pins the chunks the rebuild engages,
+      // as rebalance's callers do; the lock serializes rebuilds only)
+      MutexLock lk(rebalanceMu_);
+      rebuildLocked(sp.lo ? locateChunk(asBytes(*sp.lo)) : firstChunk(), &sp);
+    } catch (...) {
+      // Nothing reached the run's slices unless the rebuild published them
+      // (and emptied the run): free them directly.
+      for (const LiveEntry& e : sp.run) {
+        if (e.keyRefBits != 0) mm_.free(mem::Ref{e.keyRefBits});
+        if (e.valRefBits != 0) {
+          detail::ValueCell::disposeUnpublished(mm_, detail::VRef{e.valRefBits},
+                                                headerPool());
+        }
       }
-      doPut(e.key, asBytes(val), nullptr, PutOp::Put, nullptr, nullptr);
+      throw;
     }
   }
 
@@ -557,9 +580,8 @@ class OakCoreMap {
     }
 
    private:
-    // Internal walks step uncounted: removeRange and copyRange here, the
-    // checkpoint in the front end's merged iterator.
-    friend OakCoreMap;
+    // Internal walks step uncounted: shard migration, and the checkpoint in
+    // the front end's merged iterator.
     template <class>
     friend class ShardedOakCoreMap;
 
@@ -863,50 +885,6 @@ class OakCoreMap {
       }
     }
     return retired;
-  }
-
-  // ============================================================ bulk load
-  /// Bulk-loads ascending (key, value) pairs into fresh chunks without
-  /// touching the put path; single-threaded, map must be empty.  Sharded
-  /// recovery routes each shard's slice of a checkpoint stream here.
-  /// `source(key, value)` yields pairs; returns false when exhausted.
-  template <class Source>
-  void bulkLoadSorted(Source&& source) {
-    sync::Ebr::Guard g(ebr_);
-    const auto per =
-        static_cast<std::size_t>(std::max(cfg_.chunkCapacity / 2, 1));
-    std::vector<typename ChunkT::LiveEntry> batch;
-    batch.reserve(per);
-    ChunkT* tail = head_.load(std::memory_order_relaxed);
-    bool first = true;
-    ByteSpan key, value;
-    bool more = source(key, value);
-    while (more) {
-      batch.clear();
-      ByteVec batchMin = toVec(key);
-      while (more && batch.size() < per) {
-        const mem::Ref keyRef = mm_.allocateKey(key);
-        const detail::VRef vref =
-            detail::ValueCell::allocate(mm_, value, headerPool());
-        // Stamp now: the domain clock starts at 1, so loaded values are
-        // visible to every snapshot — never "pending".
-        detail::ValueCell(mm_, vref).helpStamp(snapCtx_);
-        batch.push_back({keyRef.bits(), vref.bits()});
-        more = source(key, value);
-      }
-      if (first) {
-        tail->fillSorted(batch.data(), static_cast<std::int32_t>(batch.size()));
-        first = false;
-      } else {
-        ChunkT* nc = ChunkT::make(metaHeap_, mm_, cmp_, std::move(batchMin),
-                                  cfg_.chunkCapacity);
-        nc->fillSorted(batch.data(), static_cast<std::int32_t>(batch.size()));
-        tail->nextChunk().store(nc, std::memory_order_release);
-        index_.put(toVec(nc->minKey()), nc);
-        chunkCount_.fetch_add(1, std::memory_order_relaxed);
-        tail = nc;
-      }
-    }
   }
 
   // ==================================================== snapshot lifecycle
@@ -1315,9 +1293,8 @@ class OakCoreMap {
   }
 
   // ------------------------------------------------------------ rebalance
-  /// Split / compact / merge-with-next (§4.1).  Rebalances are serialized
-  /// by a mutex (mutators stay concurrent; see DESIGN.md §4.2) which keeps
-  /// the chunk-list surgery single-writer.
+  /// Split / compact / merge-with-next (§4.1): the one chunk-build path
+  /// (rebuildLocked) over `c`.
   void rebalance(ChunkT* c) {
     // oaklint: allow(R5, callers hold an EBR guard by design — the chunk
     // pointer must stay pinned across the surgery; the lock serializes
@@ -1325,57 +1302,83 @@ class OakCoreMap {
     MutexLock lk(rebalanceMu_);
     if (c->rebalancedTo().load(std::memory_order_acquire) != nullptr) return;
     rebalances_.fetch_add(1, std::memory_order_relaxed);
+    rebuildLocked(c, nullptr);
+  }
 
+  /// The one chunk-build path (§4.1).  Engages `c`, plus its successor
+  /// when the merge policy asks (no splice) or every chunk overlapping the
+  /// splice's range; freezes them and collects their live entries, drops
+  /// those inside the range and splices the run in their place, fills
+  /// fresh chunks at capacity/2 each, then redirects, relinks, fixes the
+  /// index and EBR-retires the old chunks and dead keys.  Rebuilds are
+  /// serialized by rebalanceMu_ (mutators stay concurrent; see DESIGN.md
+  /// §4.2), which keeps the chunk-list surgery single-writer.  Caller holds
+  /// an EBR guard.
+  void rebuildLocked(ChunkT* c, Splice* splice) OAK_REQUIRES(rebalanceMu_) {
     // Everything from freeze() to the fresh-chunk build can fail (chunk
     // metadata lives on the managed heap; minKey copies live on the host
     // heap).  Until the redirects are published nothing is visible to other
     // threads, so a failure rolls back: dispose the half-built replacements
     // (dispose frees chunk metadata only, never the key/value slices the
     // live entries still own) and thaw the engaged chunks in reverse engage
-    // order.  The map is left exactly as before the rebalance started.
+    // order.  The map is left exactly as before the rebuild started.
     std::vector<ChunkT*> engaged;
     std::vector<ChunkT*> fresh;
-    // Dead entries are not migrated; their key slices are recorded here and
-    // freed once no epoch-guarded reader can still compare against them.
-    auto deadKeys = std::make_unique<std::vector<mem::Ref>>();
-    ChunkT* last = c;
-    engaged.reserve(2);
+    // Dead entries and the ones the range drops are not carried over.
+    std::vector<mem::Ref> deadKeys;
+    std::vector<LiveEntry> dropped;
+    const auto keyOf = [this](const LiveEntry& e) {
+      return mm_.keyBytes(mem::Ref{e.keyRefBits});
+    };
     try {
       OAK_FAULT_POINT("rebalance.split", ManagedOutOfMemory);
-      c->freeze();
-      engaged.push_back(c);
-      std::vector<typename ChunkT::LiveEntry> live;
+      std::vector<LiveEntry> live;
       live.reserve(static_cast<std::size_t>(c->allocatedCount()));
-      c->collectLive(mm_, live, deadKeys.get());
-
-      // Merge policy: engage the successor when this chunk is under-utilized
-      // and the combined load still fits comfortably.
+      const auto engage = [&](ChunkT* x) {
+        x->freeze();
+        engaged.push_back(x);
+        x->collectLive(mm_, live, &deadKeys);  // adjacent chunks: stays sorted
+      };
+      engage(c);
       ChunkT* next = c->nextChunk().load(std::memory_order_acquire);
-      if (next != nullptr &&
-          static_cast<std::int32_t>(live.size()) < cfg_.chunkCapacity / 4 &&
-          next->allocatedCount() + static_cast<std::int32_t>(live.size()) <
-              cfg_.chunkCapacity / 2) {
-        next->freeze();
-        engaged.push_back(next);
-        next->collectLive(mm_, live, deadKeys.get());  // adjacent: stays sorted
-        last = next;
+      if (splice != nullptr) {
+        for (; next != nullptr &&
+               (!splice->hi || cmp_(next->minKey(), asBytes(*splice->hi)) < 0);
+             next = next->nextChunk().load(std::memory_order_acquire)) {
+          engage(next);
+        }
+        const auto first =
+            std::partition_point(live.begin(), live.end(), [&](const LiveEntry& e) {
+              return splice->lo && cmp_(keyOf(e), asBytes(*splice->lo)) < 0;
+            });
+        const auto last = std::partition_point(first, live.end(), [&](const LiveEntry& e) {
+          return !splice->hi || cmp_(keyOf(e), asBytes(*splice->hi)) < 0;
+        });
+        dropped.assign(first, last);
+        for (const LiveEntry& e : dropped) deadKeys.push_back(mem::Ref{e.keyRefBits});
+        live.insert(live.erase(first, last), splice->run.begin(), splice->run.end());
+      } else if (next != nullptr &&
+                 static_cast<std::int32_t>(live.size()) < cfg_.chunkCapacity / 4 &&
+                 next->allocatedCount() + static_cast<std::int32_t>(live.size()) <
+                     cfg_.chunkCapacity / 2) {
+        // Merge policy: engage the successor when this chunk is
+        // under-utilized and the combined load still fits comfortably.
+        engage(next);
       }
 
       // Build replacement chunks, each at most half full so inserts have
       // room.
-      const std::int32_t per = cfg_.chunkCapacity / 2;
+      const auto per = static_cast<std::size_t>(std::max(cfg_.chunkCapacity / 2, 1));
+      fresh.reserve(live.size() / per + 1);
       std::size_t off = 0;
       do {
-        const auto n = static_cast<std::int32_t>(
-            std::min<std::size_t>(per, live.size() - off));
-        ByteVec minKey = (off == 0)
-                             ? toVec(c->minKey())
-                             : toVec(mm_.keyBytes(mem::Ref{live[off].keyRefBits}));
+        const std::size_t n = std::min(per, live.size() - off);
+        ByteVec minKey = (off == 0) ? toVec(c->minKey()) : toVec(keyOf(live[off]));
         ChunkT* nc = ChunkT::make(metaHeap_, mm_, cmp_, std::move(minKey),
                                   cfg_.chunkCapacity);
         fresh.push_back(nc);
-        nc->fillSorted(live.data() + off, n);
-        off += static_cast<std::size_t>(n);
+        nc->fillSorted(live.data() + off, static_cast<std::int32_t>(n));
+        off += n;
       } while (off < live.size());
     } catch (...) {
       for (ChunkT* nc : fresh) ChunkT::dispose(metaHeap_, nc);
@@ -1386,7 +1389,7 @@ class OakCoreMap {
     }
 
     // Wire the new chain, then publish redirects, then relink the list.
-    ChunkT* tail = last->nextChunk().load(std::memory_order_acquire);
+    ChunkT* tail = engaged.back()->nextChunk().load(std::memory_order_acquire);
     for (std::size_t i = 0; i + 1 < fresh.size(); ++i) {
       fresh[i]->nextChunk().store(fresh[i + 1], std::memory_order_relaxed);
     }
@@ -1394,6 +1397,7 @@ class OakCoreMap {
     for (ChunkT* old : engaged) {
       old->rebalancedTo().store(fresh.front(), std::memory_order_release);
     }
+    if (splice != nullptr) splice->run.clear();  // the fresh chunks own it now
     if (head_.load(std::memory_order_acquire) == c) {
       head_.store(fresh.front(), std::memory_order_release);
     } else {
@@ -1410,7 +1414,7 @@ class OakCoreMap {
     // Index maintenance: map new minKeys, then drop stale ones.  The index
     // is a lazy accelerator (§3.1): a missing or stale entry only lengthens
     // locateChunk's list walk, so under memory pressure we skip maintenance
-    // rather than fail a rebalance whose redirects are already live.
+    // rather than fail a rebuild whose redirects are already live.
     try {
       for (ChunkT* nc : fresh) index_.put(toVec(nc->minKey()), nc);
       for (ChunkT* old : engaged) {
@@ -1444,23 +1448,34 @@ class OakCoreMap {
           },
           this);
     }
-    if (!deadKeys->empty()) {
-      try {
-        ebr_.retire(
-            deadKeys.get(),
-            [](void* p, void* ctx) {
-              auto* self = static_cast<OakCoreMap*>(ctx);
-              auto* keys = static_cast<std::vector<mem::Ref>*>(p);
-              for (const mem::Ref k : *keys) self->mm_.free(k);
-              delete keys;
-            },
-            this);
-        deadKeys.release();
-      } catch (const std::bad_alloc&) {
-        // Memory pressure past the point of no return: strand the dead
-        // keys (the pre-reclamation behavior) rather than fail a rebalance
-        // whose redirects are already live.
-      }
+    retireDeadKeys(std::move(deadKeys));
+    // Dropped values are deleted outright: no live layout routes a reader to
+    // the range here, and stale views throw ConcurrentModification.
+    for (const LiveEntry& e : dropped) {
+      detail::ValueCell(mm_, detail::VRef{e.valRefBits}).hardDelete(headerPool());
+    }
+  }
+
+  /// EBR-retires key slices no entry references any more (§3.2: "return to
+  /// the free list upon KV-pair deletion"): an in-guard reader may still
+  /// compare against them.  Under memory pressure past a point of no return
+  /// the keys are stranded (the pre-reclamation behavior) rather than
+  /// failing work whose effects are already published.
+  void retireDeadKeys(std::vector<mem::Ref>&& keys) noexcept {
+    if (keys.empty()) return;
+    try {
+      auto owned = std::make_unique<std::vector<mem::Ref>>(std::move(keys));
+      ebr_.retire(
+          owned.get(),
+          [](void* p, void* ctx) {
+            auto* self = static_cast<OakCoreMap*>(ctx);
+            auto* dead = static_cast<std::vector<mem::Ref>*>(p);
+            for (const mem::Ref k : *dead) self->mm_.free(k);
+            delete dead;
+          },
+          this);
+      owned.release();
+    } catch (const std::bad_alloc&) {
     }
   }
 
@@ -1565,21 +1580,8 @@ class OakCoreMap {
     std::uint64_t movedBytes = 0;
     // Old key slices cannot be freed inline: an in-guard reader may have
     // loaded the old bits before our CAS, so they go through EBR — exactly
-    // the rebalancer's dead-key protocol.
-    auto deadKeys = std::make_unique<std::vector<mem::Ref>>();
-    const auto retireDeadKeys = [&] {
-      if (deadKeys->empty()) return;
-      ebr_.retire(
-          deadKeys.get(),
-          [](void* p, void* ctx) {
-            auto* self = static_cast<OakCoreMap*>(ctx);
-            auto* keys = static_cast<std::vector<mem::Ref>*>(p);
-            for (const mem::Ref k : *keys) self->mm_.free(k);
-            delete keys;
-          },
-          this);
-      deadKeys.release();
-    };
+    // the rebuild's dead-key protocol.
+    std::vector<mem::Ref> deadKeys;
     try {
       for (ChunkT* c = firstChunk(); c != nullptr;
            c = c->nextChunk().load(std::memory_order_acquire)) {
@@ -1610,7 +1612,7 @@ class OakCoreMap {
                 expected, fresh.bits(), std::memory_order_acq_rel);
             c->unpublish();
             if (swung) {
-              deadKeys->push_back(kref);
+              deadKeys.push_back(kref);
               ++movedSlices;
               movedBytes += kref.length();
             } else {
@@ -1627,10 +1629,11 @@ class OakCoreMap {
         }
       }
     } catch (...) {
-      retireDeadKeys();  // already-swung keys' old slices must still reclaim
+      // Already-swung keys' old slices must still reclaim.
+      retireDeadKeys(std::move(deadKeys));
       throw;
     }
-    retireDeadKeys();
+    retireDeadKeys(std::move(deadKeys));
     if (movedSlices != 0) {
       stats_.incCounter(obs::Counter::SlicesRelocated, movedSlices);
       stats_.incCounter(obs::Counter::BytesRelocated, movedBytes);

@@ -33,13 +33,17 @@
 //
 //   SPLIT(i) at key M:   v+1 publishes the same layout with [M, hi_i)
 //   sealed (writers to that range spin; readers proceed).  After the seal
-//   is quiescent the range is write-quiescent, so its entries are copied
-//   into an emptied core without locks.  v+2 publishes boundary M with
-//   that core owning [M, hi_i).
+//   is quiescent the range is write-quiescent, so an emptied core rebuilds
+//   [M, hi_i) from it without locks.  v+2 publishes boundary M with that
+//   core owning [M, hi_i).
 //
-//   MERGE(i):   shard i is absorbed into shard i+1 (always leftward, so a
-//   core never receives keys below its owned range).  v+1 seals shard i's
-//   whole range, the copy lands in shard i+1, and v+2 drops the boundary.
+//   MERGE(i):   shard i is absorbed into shard i+1.  v+1 seals shard i's
+//   whole range, shard i+1 rebuilds that range from it, and v+2 drops the
+//   boundary.
+//
+//   Both copy through the one chunk-build path, OakCoreMap::replaceRange:
+//   the copies land in fresh sorted chunks, restamped at arrival, and
+//   replace whatever the receiving core still held in the range.
 //
 // Retirement — one rule for superseded shard state.  A layout (Table) is
 // live while the published slot, the pinned history (a snapshot pinned
@@ -47,9 +51,10 @@
 // or an open merged scan holds it; scans hold one shared_ptr to their
 // layout.  A core keeps only the keys some live layout routes to it: after
 // every layout change and in quiesce(), keys outside the hull of its live
-// ranges — the copies a migration left in its source, or a rolled-back
-// copy — are removed through the core's own remove, and a core no live
-// layout names is emptied and parked for the next split to reuse.  Cores
+// ranges — the copies a migration left in its source — are dropped by the
+// same chunk rebuild with no pairs (their chunks replaced, their keys
+// EBR-retired, their values deleted), and a core no live layout names is
+// emptied to one chunk and parked for the next split to reuse.  Cores
 // live as long as the map and value headers are immortal or type-stable,
 // so a zero-copy view (OakRBuffer) never dangles: a view whose entry was
 // migrated and then trimmed throws ConcurrentModification, exactly as after
@@ -798,9 +803,9 @@ class ShardedOakCoreMap {
   /// pins in [T.born, next.born), so it leaves `tables_` once none is open
   /// (a pin opened later reads at least the published layout's born), and
   /// stays in `retired_` while a scan holds it.  Then, once a layout has
-  /// left the live set (or a rolled-back copy left keys behind), every core
-  /// is trimmed to the hull of the ranges the live layouts route to it, and
-  /// a core none of them names is emptied and parked in `spare_`.
+  /// left the live set (or a rollback or an OOM left work behind), every
+  /// core is trimmed to the hull of the ranges the live layouts route to it,
+  /// and a core none of them names is emptied and parked in `spare_`.
   /// Otherwise the pass does no seeks at all.
   void reclaimLocked() OAK_REQUIRES(mgmtMu_) {
     awaitQuiescentLocked(table_.load(std::memory_order_relaxed));
@@ -821,10 +826,10 @@ class ShardedOakCoreMap {
           return false;
         });
     if (expired == 0 && !trimDue_) return;
-    // trimDue_ stays raised until the trim completes: a remove that runs out
-    // of memory (under a pin it lays a tombstone) leaves the rest to the
-    // next pass.
+    // trimDue_ stays raised until the trim completes: a trim that runs out
+    // of memory leaves the rest to the next pass.
     trimDue_ = true;
+    constexpr auto kNoPairs = [](auto&&) {};
     try {
       for (const auto& up : cores_) {
         Core* c = up.get();
@@ -845,12 +850,12 @@ class ShardedOakCoreMap {
           }
         }
         if (!named) {
-          c->removeRange(std::nullopt, std::nullopt);
+          c->replaceRange(std::nullopt, std::nullopt, kNoPairs);
           spare_.push_back(c);
           continue;
         }
-        if (lo) c->removeRange(std::nullopt, std::move(lo));
-        if (hi) c->removeRange(std::move(hi), std::nullopt);
+        if (lo) c->replaceRange(std::nullopt, std::move(lo), kNoPairs);
+        if (hi) c->replaceRange(std::move(hi), std::nullopt, kNoPairs);
       }
     } catch (const std::bad_alloc&) {
       return;
@@ -943,9 +948,23 @@ class ShardedOakCoreMap {
     reclaimLocked();
   }
 
+  /// Phase 2: the sealed range is write-quiescent, so plain reads (stepped
+  /// uncounted) give a consistent image, and `to` rebuilds [lo, hi) from it
+  /// (OakCoreMap::replaceRange: the copies are restamped at arrival, and
+  /// whatever `to` still held there is dropped).  Never logged.
+  void migrateLocked(Core& to, Core& from, const std::optional<ByteVec>& lo,
+                     const std::optional<ByteVec>& hi) OAK_REQUIRES(mgmtMu_) {
+    to.replaceRange(lo, hi, [&](auto&& add) {
+      for (auto it = from.ascend(lo, hi, ScanOptions::streaming()); it.valid(); it.step()) {
+        const EntryView e = it.entry();
+        e.value.read([&](ByteSpan v) { add(e.key, v); });
+      }
+    });
+  }
+
   /// OOM during the copy: unseal under the old layout (the migration never
-  /// happened) and let the retirement pass trim the partial copy, which
-  /// lies outside every published range.
+  /// happened; the failed rebuild left `to` unchanged) and let the
+  /// retirement pass park a core the old layout does not name.
   bool rollbackLocked(const Table& cur) OAK_REQUIRES(mgmtMu_) {
     cur.cores.front()->statsRegistry().incCounter(obs::Counter::ShardMgmtFailed);
     trimDue_ = true;
@@ -968,10 +987,8 @@ class ShardedOakCoreMap {
     sealLocked(cur, mid, hi);
     Core* fresh = nullptr;
     try {
-      // Phase 2: the sealed range is write-quiescent, so plain reads + puts
-      // copy a consistent image (uncounted, and never logged).
       fresh = takeCoreLocked();
-      fresh->copyRange(*src, mid, hi);
+      migrateLocked(*fresh, *src, mid, hi);
     } catch (const std::bad_alloc&) {
       return rollbackLocked(cur);
     }
@@ -995,9 +1012,7 @@ class ShardedOakCoreMap {
     Core* into = cur.cores[idx + 1];
     sealLocked(cur, lo, b);
     try {
-      // Leftward absorption: `into` never holds live keys below its owned
-      // range, so these puts never meet stale copies.
-      into->copyRange(*cur.cores[idx], lo, b);
+      migrateLocked(*into, *cur.cores[idx], lo, b);
     } catch (const std::bad_alloc&) {
       return rollbackLocked(cur);
     }
@@ -1170,8 +1185,9 @@ class ShardedOakCoreMap {
     return pairs;
   }
 
-  /// Recovery: route the checkpoint's globally sorted pair stream into each
-  /// shard's bulk loader (a shard consumes until its upper boundary), then
+  /// Recovery: route the checkpoint's globally sorted pair stream into the
+  /// shards, one chunk rebuild over each owned range (a shard consumes until
+  /// its upper boundary; OakCoreMap::replaceRange), then
   /// replay the WAL tail through the routed public ops.  wal_ is still null
   /// throughout, so nothing re-logs.  Old segments stay on disk until the
   /// next checkpoint — the replayed records' durability still lives there.
@@ -1186,16 +1202,11 @@ class ShardedOakCoreMap {
         bool pending = reader->next(pk, pv);
         for (std::size_t i = 0; i < t->cores.size() && pending; ++i) {
           const std::optional<ByteVec> ub = ownedUpper(*t, i);
-          t->cores[i]->bulkLoadSorted([&](ByteSpan& key, ByteSpan& value) {
-            if (!pending) return false;
-            if (ub && cmp_(pk, asBytes(*ub)) >= 0) return false;
-            key = pk;
-            value = pv;
-            // Advancing is safe before the consumer copies: the reader
-            // hands out spans into its whole-file buffer, so the previous
-            // pair's bytes stay put.
-            pending = reader->next(pk, pv);
-            return true;
+          t->cores[i]->replaceRange(ownedLower(*t, i), ub, [&](auto&& add) {
+            for (; pending && (!ub || cmp_(pk, asBytes(*ub)) < 0);
+                 pending = reader->next(pk, pv)) {
+              add(pk, pv);
+            }
           });
         }
       }
@@ -1283,7 +1294,7 @@ class ShardedOakCoreMap {
       OAK_GUARDED_BY(mgmtMu_);  // published + pinned history
   std::vector<std::weak_ptr<const Table>> retired_
       OAK_GUARDED_BY(mgmtMu_);  // pruned; an open scan may still hold one
-  bool trimDue_ OAK_GUARDED_BY(mgmtMu_) = false;  // a rollback left copies
+  bool trimDue_ OAK_GUARDED_BY(mgmtMu_) = false;  // a rollback or OOM left work
   std::atomic<Table*> table_{nullptr};
   mutable std::unique_ptr<GateSlot[]> gate_;
 

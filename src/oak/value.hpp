@@ -412,17 +412,25 @@ class ValueCell {
         hdr_->flags.fetch_or(kTombstone, std::memory_order_relaxed);
         hdr_->writeVersion.store(s, std::memory_order_release);
       } else {
-        hdr_->lock.setDeleted();
-        const mem::Ref payload{hdr_->payloadRef.load(std::memory_order_relaxed)};
-        if (payload.length() != 0) mm_->free(payload);
-        hdr_->payloadRef.store(0, std::memory_order_relaxed);
-        hdr_->size = 0;
-        freeChainLocked();
+        hardDeleteLocked();
         hard = true;
       }
     }
     if (hard && pool != nullptr) pool->release(headerRef(ref_));
     return hard ? RemoveOutcome::Removed : RemoveOutcome::Tombstoned;
+  }
+
+  /// Hard-deletes the value whatever its state (live or tombstone), with
+  /// its chain: for a cell no reader can be routed to any more (a chunk
+  /// rebuild dropped its entry).  Views on it then throw
+  /// ConcurrentModification.  No-op if already deleted or stale.
+  void hardDelete(HeaderPool* pool) noexcept {
+    {
+      sync::WriteGuard g(hdr_->lock);
+      if (!g.acquired() || stale()) return;
+      hardDeleteLocked();
+    }
+    if (pool != nullptr) pool->release(headerRef(ref_));
   }
 
   /// Lock-free liveness probe: deleted bit or generation mismatch.
@@ -743,7 +751,13 @@ class ValueCell {
     return n;
   }
 
-  void freeChainLocked() noexcept {
+  /// Sets the deleted bit and frees payload and chain.  Write lock held.
+  void hardDeleteLocked() noexcept {
+    hdr_->lock.setDeleted();
+    const mem::Ref payload{hdr_->payloadRef.load(std::memory_order_relaxed)};
+    if (payload.length() != 0) mm_->free(payload);
+    hdr_->payloadRef.store(0, std::memory_order_relaxed);
+    hdr_->size = 0;
     freeChainFrom(hdr_->chainRef.load(std::memory_order_relaxed));
     hdr_->chainRef.store(0, std::memory_order_relaxed);
   }

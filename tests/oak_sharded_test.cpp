@@ -517,6 +517,27 @@ TEST(ShardRetirement, MigrationIsNotUserTraffic) {
   EXPECT_EQ(map.sizeSlow(), kKeys);
 }
 
+TEST(ShardRetirement, MigrationRebuildsChunks) {
+  // Migration and trims rebuild chunks rather than inserting and removing
+  // key by key: a split's source keeps chunks only for the keys it still
+  // owns, and a merged-away core is emptied down to one chunk.
+  constexpr std::uint64_t kKeys = 4096;
+  constexpr std::size_t kPerChunk = 8;  // a rebuilt capacity-16 chunk
+  constexpr std::size_t kHalfChunks = (kKeys / 2 + kPerChunk - 1) / kPerChunk;
+  mem::BlockPool pool(mem::BlockPool::Config{.blockBytes = 1u << 20});
+  auto map = retireMap(pool);
+  fillU64(map, kKeys);
+  ASSERT_TRUE(map.splitShardAt(0, keyOf(kKeys / 2)));
+  map.quiesce();
+  Core& src = map.shard(0);
+  EXPECT_LE(src.chunkCount(), kHalfChunks + 2);
+  ASSERT_TRUE(map.mergeShards(0));
+  map.quiesce();
+  EXPECT_LE(map.chunkCount(), 2 * (kHalfChunks + 1) + 1);
+  EXPECT_EQ(src.chunkCount(), 1u);
+  EXPECT_EQ(map.sizeSlow(), kKeys);
+}
+
 TEST(ShardRetirement, ExplicitSplitsStopAtMaxShards) {
   constexpr std::size_t kMax = ShardedOakCoreMap<>::kMaxShards;
   auto map = smallMap(kMax, 4 * kMax);
